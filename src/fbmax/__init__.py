@@ -28,33 +28,25 @@ from .clark import (
 from .errors import EmbeddingError, NumericalError, OracleError, QuadratureError
 from .fbm import (
     CirculantSpectrum,
-    FbmPath,
     build_embedding,
     cholesky_oracle_paths,
     fbm_covariance_matrix,
     fgn_autocovariance,
-    path_from_increments,
-    sample_fgn,
-    sample_fgn_pair,
 )
 from .functionals import (
     FunctionalKind,
-    average_functional,
     average_second_moment,
     average_second_moment_limit,
-    evaluate_functional,
-    max_functional,
 )
 from .grid import PathGrid
 from .montecarlo import (
     ExperimentConfig,
-    ExperimentMode,
     SampleSummary,
     run_fbm_experiment,
     run_iid_limit_experiment,
     summarize,
 )
-from .rng import replication_rng, spawn_rngs
+from .rng import replication_rng
 from .special import inverse_erf, inverse_erfc, norm_cdf, norm_pdf
 
 __version__ = "0.1.0"
@@ -64,8 +56,6 @@ __all__ = [
     "CirculantSpectrum",
     "EmbeddingError",
     "ExperimentConfig",
-    "ExperimentMode",
-    "FbmPath",
     "FunctionalKind",
     "GaussianVectorSpec",
     "NumericalError",
@@ -73,7 +63,6 @@ __all__ = [
     "PathGrid",
     "QuadratureError",
     "SampleSummary",
-    "average_functional",
     "average_second_moment",
     "average_second_moment_limit",
     "borovkov_bounds",
@@ -84,7 +73,6 @@ __all__ = [
     "clark_pair_moments",
     "delta_lower_bound",
     "delta_upper_bound",
-    "evaluate_functional",
     "fbm_covariance_matrix",
     "fbm_vector_spec",
     "fgn_autocovariance",
@@ -92,18 +80,13 @@ __all__ = [
     "inverse_erfc",
     "limit_integral",
     "limit_rate_bound",
-    "max_functional",
     "norm_cdf",
     "norm_pdf",
-    "path_from_increments",
     "relative_error_lower",
     "replication_rng",
     "run_clark_recursion",
     "run_fbm_experiment",
     "run_iid_limit_experiment",
-    "sample_fgn",
-    "sample_fgn_pair",
-    "spawn_rngs",
     "summarize",
     "sudakov_lower_bound",
     "sudakov_maximizer",

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr
 
 from .errors import QuadratureError
-from .special import inverse_erf, inverse_erfc
+from .special import inverse_erfc
 
 __all__ = [
     "BorovkovBounds",
@@ -36,7 +36,6 @@ __all__ = [
     "delta_upper_bound",
     "sudakov_lower_bound",
     "sudakov_maximizer",
-    "inverse_erf",
     "limit_integral",
     "limit_integral_quantile_form",
     "limit_integral_tail_form",

@@ -40,38 +40,48 @@ CLARK_MAX_POINTS = 2 ** 17
 
 @dataclass(frozen=True)
 class GaussianVectorSpec:
-    """A Gaussian vector given by its mean and covariance functions.
+    """A Gaussian vector given by its moments as arrays.
 
-    ``mean`` and ``covariance`` take 0-based integer indices (scalars or
-    arrays, broadcasting elementwise) and return the corresponding moments.
-    Diagonal covariance entries must be strictly positive.
+    ``mean`` and ``variance`` hold one entry per coordinate; variances must be
+    strictly positive. ``cross_covariance(k)`` returns the covariances
+    Cov(x_k, x_j) for j = k+1, ..., size-1, the row the recursion needs when
+    it absorbs coordinate k.
     """
 
-    size: int
-    mean: Callable[[np.ndarray], np.ndarray]
-    covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    mean: np.ndarray
+    variance: np.ndarray
+    cross_covariance: Callable[[int], np.ndarray]
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
+        if len(self.variance) != self.size:
+            raise ValueError(
+                f"{len(self.variance)} variances do not match {self.size} means"
+            )
+
+    @property
+    def size(self) -> int:
+        return len(self.mean)
 
 
 def fbm_vector_spec(grid: PathGrid) -> GaussianVectorSpec:
-    """Spec of (B(1/N), ..., B(N/N)); index i refers to time (i+1)/N."""
+    """Spec of (B(1/N), ..., B(N/N)); index i refers to time (i+1)/N.
+
+    Cov(B(s), B(t)) = 0.5 (s^{2H} + t^{2H} - |t - s|^{2H}), so row k needs
+    t^{2H} at the later times and |t - s|^{2H} at lags 1, ..., N-1-k: two
+    contiguous slices of precomputed powers.
+    """
     n = grid.n_points
     two_h = 2.0 * grid.hurst
     pow_t = ((np.arange(n) + 1.0) / n) ** two_h
-    dpow = np.concatenate([[0.0], (np.arange(1, n) / n) ** two_h])
+    pow_lag = (np.arange(1, n) / n) ** two_h
 
-    def mean(i):
-        return np.zeros_like(np.asarray(i, dtype=float))
+    def cross_covariance(k):
+        return 0.5 * (pow_t[k] + pow_t[k + 1:] - pow_lag[:n - 1 - k])
 
-    def covariance(i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        return 0.5 * (pow_t[i] + pow_t[j] - dpow[np.abs(i - j)])
-
-    return GaussianVectorSpec(size=n, mean=mean, covariance=covariance)
+    return GaussianVectorSpec(mean=np.zeros(n), variance=pow_t,
+                              cross_covariance=cross_covariance)
 
 
 @dataclass
@@ -88,7 +98,7 @@ class ClarkResult:
 
 
 def _pair_terms(mean1, var1, mean2, var2, cov):
-    """Shared core: (mean, second moment, alpha, a, Phi(alpha), Phi(-alpha))."""
+    """Shared core: (mean, second moment, alpha)."""
     a_sq = var1 + var2 - 2.0 * cov
     if a_sq > 0.0:
         a = math.sqrt(a_sq)
@@ -102,7 +112,7 @@ def _pair_terms(mean1, var1, mean2, var2, cov):
     g = a * norm_pdf(alpha)
     mean = p1 * mean1 + p2 * mean2 + g
     second = p1 * (mean1 * mean1 + var1) + p2 * (mean2 * mean2 + var2) + g * (mean1 + mean2)
-    return mean, second, alpha, a, p1, p2
+    return mean, second, alpha
 
 
 def clark_pair_moments(
@@ -121,43 +131,42 @@ def clark_pair_moments(
     bound = math.sqrt(var1 * var2)
     if abs(cov) > bound * (1.0 + 1e-12) + 1e-300:
         raise ValueError(f"|cov|={abs(cov)!r} exceeds sqrt(var1*var2)={bound!r}")
-    mean, second, *_ = _pair_terms(mean1, var1, mean2, var2, cov)
+    mean, second, _ = _pair_terms(mean1, var1, mean2, var2, cov)
     return mean, second
 
 
 def clark_correlation_update(
     var1: float,
-    corr_tau_1: float,
+    corr_tau_1: np.ndarray,
     var2: float,
-    corr_tau_2: float,
+    corr_tau_2: np.ndarray,
     alpha: float,
     pair_moments: tuple[float, float],
     diagnostics: ClarkDiagnostics | None = None,
-) -> float:
-    """Correlation of a third variable tau with max{xi, eta}.
+) -> np.ndarray:
+    """Correlations of third variables tau with max{xi, eta}, elementwise.
 
         Corr(tau, max) = [sqrt(var1) Corr(tau,xi) Phi(alpha)
                           + sqrt(var2) Corr(tau,eta) Phi(-alpha)] / sd(max)
 
-    Returns 0 when the max has no variance; out-of-range results are clamped
-    to [-1, 1]. Both events are tallied in ``diagnostics`` when provided.
+    ``corr_tau_1`` and ``corr_tau_2`` hold Corr(tau, xi) and Corr(tau, eta)
+    for each tau. Returns zeros when the max has no variance; out-of-range
+    results are clamped to [-1, 1]. Both events are tallied in
+    ``diagnostics`` when provided, a clamp once per entry.
     """
     mean, second = pair_moments
     var_max = second - mean * mean
     if var_max <= 0.0:
         if diagnostics is not None:
             diagnostics.degenerate_events += 1
-        return 0.0
-    numerator = (
+        return np.zeros_like(corr_tau_1)
+    raw = (
         math.sqrt(var1) * corr_tau_1 * norm_cdf(alpha)
         + math.sqrt(var2) * corr_tau_2 * norm_cdf(-alpha)
-    )
-    raw = numerator / math.sqrt(var_max)
-    if abs(raw) > 1.0:
-        if diagnostics is not None:
-            diagnostics.clamp_events += 1
-        return math.copysign(1.0, raw)
-    return raw
+    ) / math.sqrt(var_max)
+    if diagnostics is not None:
+        diagnostics.clamp_events += int(np.count_nonzero(np.abs(raw) > 1.0))
+    return np.clip(raw, -1.0, 1.0)
 
 
 def run_clark_recursion(
@@ -177,42 +186,31 @@ def run_clark_recursion(
             f"size {n} exceeds the recursion guard {CLARK_MAX_POINTS}; "
             "pass allow_large=True to override"
         )
-    idx = np.arange(n)
-    means = np.asarray(spec.mean(idx), dtype=float)
-    variances = np.asarray(spec.covariance(idx, idx), dtype=float)
+    means = np.asarray(spec.mean, dtype=float)
+    variances = np.asarray(spec.variance, dtype=float)
     if np.any(variances <= 0.0):
-        raise ValueError("all diagonal covariance entries must be positive")
+        raise ValueError("all variances must be positive")
     sd = np.sqrt(variances)
     diagnostics = ClarkDiagnostics()
 
     mean_m = float(means[0])
     second_m = float(means[0] ** 2 + variances[0])
     if n > 1:
-        rest = idx[1:]
-        corr = np.asarray(spec.covariance(0, rest), dtype=float) / (sd[0] * sd[rest])
+        corr = spec.cross_covariance(0) / (sd[0] * sd[1:])
 
     for k in range(1, n):
         var_m = max(second_m - mean_m * mean_m, 0.0)
         rho = float(corr[0])
         cov_mk = rho * math.sqrt(var_m * variances[k])
-        mean, second, alpha, _a, p1, p2 = _pair_terms(
+        mean, second, alpha = _pair_terms(
             mean_m, var_m, float(means[k]), float(variances[k]), cov_mk
         )
         if k < n - 1:
-            rem = idx[k + 1:]
-            corr_k_rem = np.asarray(spec.covariance(k, rem), dtype=float) / (sd[k] * sd[rem])
-            var_max = second - mean * mean
-            if var_max <= 0.0:
-                diagnostics.degenerate_events += 1
-                corr = np.zeros(rem.size)
-            else:
-                raw = (
-                    math.sqrt(var_m) * corr[1:] * p1
-                    + sd[k] * corr_k_rem * p2
-                ) / math.sqrt(var_max)
-                out_of_range = np.abs(raw) > 1.0
-                diagnostics.clamp_events += int(np.count_nonzero(out_of_range))
-                corr = np.clip(raw, -1.0, 1.0)
+            corr_k_rem = spec.cross_covariance(k) / (sd[k] * sd[k + 1:])
+            corr = clark_correlation_update(
+                var_m, corr[1:], variances[k], corr_k_rem, alpha, (mean, second),
+                diagnostics,
+            )
         mean_m, second_m = mean, second
 
     return ClarkResult(expected_max=mean_m, second_moment=second_m, diagnostics=diagnostics)

@@ -52,6 +52,9 @@ TABLE_H_VALUES = (0.09, 0.01, 0.0013, 0.0001)
 BOUNDS_H_VALUES = (0.5, 0.09, 0.01, 0.0013, 0.0001)
 #: Replication counts of the iid-limit table.
 TABLE2_SAMPLE_SIZES = (1000, 5000, 10000, 15000, 20000)
+#: Subcommands that read --h, and those that read --samples and --seed.
+HURST_COMMANDS = ("table1", "table4", "figures", "bounds", "simulate")
+SAMPLING_COMMANDS = ("table1", "table2", "table3", "figures", "simulate", "limit")
 
 
 def default_hurst_grid() -> list[float]:
@@ -91,24 +94,30 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate": "raw max/average functional samples per replication",
         "limit": "the small-H limit integral per N",
     }
+    cmds = {}
     for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--h", dest="h_values", type=_hurst_arg, action="append",
-                         metavar="H", help="Hurst index, repeatable")
+        # no prefix matching: "--h" on a subcommand without it would mean --help
+        cmd = cmds[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if name in HURST_COMMANDS:
+            cmd.add_argument("--h", dest="h_values", type=_hurst_arg, action="append",
+                             metavar="H", help="Hurst index, repeatable")
         cmd.add_argument("--n-exp", dest="n_exponents", type=_n_exp_arg,
                          action="append", metavar="J",
                          help="grid size exponent: N = 2^J, repeatable")
-        cmd.add_argument("--samples", type=int, default=None,
-                         help=f"replications per cell (default {DEFAULT_SAMPLES})")
-        cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help=f"master seed (default {DEFAULT_SEED})")
+        if name in SAMPLING_COMMANDS:
+            cmd.add_argument("--samples", type=int, default=None,
+                             help=f"replications per cell (default {DEFAULT_SAMPLES})")
+            cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                             help=f"master seed (default {DEFAULT_SEED})")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--out", default=None, metavar="PATH",
                          help="output file (default: stdout)")
-        cmd.add_argument("--method", choices=("mc", "clark", "integral", "bounds"),
-                         default=None, help="restrict the computation where applicable")
-        cmd.add_argument("--force-large-clark", action="store_true",
-                         help=f"run Clark above the {CLARK_MAX_POINTS}-point guard")
+    cmds["table1"].add_argument("--method", choices=("mc", "clark"), default=None,
+                                help="run only one estimator (default: both)")
+    cmds["table1"].add_argument("--force-large-clark", action="store_true",
+                                help=f"run Clark above the {CLARK_MAX_POINTS}-point guard")
+    cmds["limit"].add_argument("--method", choices=("integral", "mc"), default="integral",
+                               help="quadrature or iid Monte Carlo (default: integral)")
     return parser
 
 
@@ -127,10 +136,13 @@ def _samples_of(args: argparse.Namespace) -> int:
     return n
 
 
+def _exponents(args, default: Iterable[int]) -> list[int]:
+    return args.n_exponents if args.n_exponents else list(default)
+
+
 def _grids(args, default_h: Iterable[float], default_exp: Iterable[int]):
     h_values = args.h_values if args.h_values else list(default_h)
-    exponents = args.n_exponents if args.n_exponents else list(default_exp)
-    return h_values, exponents
+    return h_values, _exponents(args, default_exp)
 
 
 def _pair(name: str, value: float | None) -> list[tuple[str, Any]]:
@@ -152,8 +164,6 @@ def _max_samples(args, hurst: float, n_points: int, sample_size: int) -> np.ndar
 def _cmd_table1(args) -> list[dict]:
     h_values, exponents = _grids(args, TABLE_H_VALUES, range(8, 20))
     method = args.method or "both"
-    if method not in ("mc", "clark", "both"):
-        raise ValueError(f"--method {method} does not apply to table1")
     sample_size = _samples_of(args)
     rows = []
     for hurst in h_values:
@@ -181,7 +191,7 @@ def _cmd_table1(args) -> list[dict]:
 
 
 def _iid_table(args, default_exponents, sample_sizes) -> list[dict]:
-    _, exponents = _grids(args, (), default_exponents)
+    exponents = _exponents(args, default_exponents)
     rows = []
     for exponent in exponents:
         n_points = 2 ** exponent
@@ -300,15 +310,12 @@ def _cmd_simulate(args) -> list[dict]:
 
 
 def _cmd_limit(args) -> list[dict]:
-    _, exponents = _grids(args, (), range(8, 21))
-    method = args.method or "integral"
-    if method not in ("integral", "mc"):
-        raise ValueError(f"--method {method} does not apply to limit")
+    exponents = _exponents(args, range(8, 21))
     rows = []
     for exponent in exponents:
         n_points = 2 ** exponent
         row: list[tuple[str, Any]] = [("n_exp", exponent), ("n", n_points)]
-        if method == "integral":
+        if args.method == "integral":
             row += _pair("limit", limit_integral(n_points))
         else:
             stats = run_iid_limit_experiment(n_points, _samples_of(args), args.seed)

@@ -23,18 +23,13 @@ from .grid import PathGrid
 
 __all__ = [
     "PathGrid",
-    "FbmPath",
     "CirculantSpectrum",
     "fgn_autocovariance",
     "fbm_covariance_matrix",
     "circulant_eigenvalues",
     "build_embedding",
-    "sample_fgn",
-    "sample_fgn_pair",
-    "path_from_increments",
     "cholesky_factor",
     "cholesky_oracle_paths",
-    "cholesky_oracle_sample",
 ]
 
 #: Dense-oracle size cap; beyond this the O(N^3) factorization is not a
@@ -43,21 +38,6 @@ CHOLESKY_MAX_POINTS = 1024
 
 #: Relative clip window for slightly negative embedding eigenvalues.
 EIGENVALUE_CLIP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FbmPath:
-    """One sampled path: values B(t_i) on the grid, plus its seed record."""
-
-    grid: PathGrid
-    values: np.ndarray
-    seed: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid size {self.grid.n_points}"
-            )
 
 
 @dataclass(frozen=True)
@@ -209,33 +189,6 @@ def _synthesise_pairs(spectrum: CirculantSpectrum, noise: np.ndarray) -> np.ndar
     return out
 
 
-def sample_fgn_pair(spectrum: CirculantSpectrum, rng: np.random.Generator) -> np.ndarray:
-    """Draw two independent increment vectors (shape (2, N)) in one synthesis."""
-    noise = rng.standard_normal(2 * spectrum.size)
-    return _synthesise_pairs(spectrum, noise[None, :])[0]
-
-
-def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator) -> np.ndarray:
-    """Draw one increment vector of length N.
-
-    A single synthesis always produces a pair; this convenience keeps only the
-    first vector. Use sample_fgn_pair when both are wanted.
-    """
-    return sample_fgn_pair(spectrum, rng)[0]
-
-
-def path_from_increments(
-    increments: np.ndarray, grid: PathGrid, seed: tuple[int, int] | None = None
-) -> FbmPath:
-    """Cumulatively sum increments into path values B(t_1), ..., B(t_N)."""
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected {grid.n_points} increments, got shape {increments.shape}"
-        )
-    return FbmPath(grid=grid, values=np.cumsum(increments), seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # dense Cholesky oracle
 # ---------------------------------------------------------------------------
@@ -263,9 +216,3 @@ def cholesky_oracle_paths(
     factor = cholesky_factor(grid)
     z = rng.standard_normal((n_paths, grid.n_points))
     return z @ factor.T
-
-
-def cholesky_oracle_sample(grid: PathGrid, rng: np.random.Generator) -> FbmPath:
-    """Sample a single path through the dense factor."""
-    values = cholesky_oracle_paths(grid, 1, rng)[0]
-    return FbmPath(grid=grid, values=values)

@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import FbmPath
 from .grid import PathGrid
 
 __all__ = [
     "FunctionalKind",
-    "FunctionalValue",
-    "max_functional",
-    "average_functional",
-    "evaluate_functional",
+    "REDUCTIONS",
     "average_second_moment",
     "average_second_moment_limit",
 ]
@@ -34,33 +29,11 @@ class FunctionalKind(enum.Enum):
     AVERAGE = "average"
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    kind: FunctionalKind
-    value: float
-    grid: PathGrid
-
-
-def _values(path) -> np.ndarray:
-    values = path.values if isinstance(path, FbmPath) else np.asarray(path, dtype=float)
-    if values.size == 0:
-        raise ValueError("functional of an empty path is undefined")
-    return values
-
-
-def max_functional(path) -> float:
-    """max_i B(t_i) over the grid."""
-    return float(np.max(_values(path)))
-
-
-def average_functional(path) -> float:
-    """(1/N) sum_i B(t_i) over the grid."""
-    return float(np.mean(_values(path)))
-
-
-def evaluate_functional(path: FbmPath, kind: FunctionalKind) -> FunctionalValue:
-    fn = max_functional if kind is FunctionalKind.MAX else average_functional
-    return FunctionalValue(kind=kind, value=fn(path), grid=path.grid)
+#: Each functional as a reduction of sampled paths, shape (k, N) -> (k,).
+REDUCTIONS = {
+    FunctionalKind.MAX: lambda paths: paths.max(axis=1),
+    FunctionalKind.AVERAGE: lambda paths: paths.mean(axis=1),
+}
 
 
 def average_second_moment(grid: PathGrid) -> float:

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .fbm import build_embedding, _synthesise_pairs
-from .functionals import FunctionalKind
+from .functionals import REDUCTIONS, FunctionalKind
 from .grid import PathGrid
 from .rng import replication_rng
 
 __all__ = [
-    "ExperimentMode",
     "ExperimentConfig",
     "SampleSummary",
     "summarize",
@@ -36,11 +34,6 @@ CI95_QUANTILE = 1.96
 CHUNK_DRAW_BUDGET = 2 ** 22
 
 
-class ExperimentMode(Enum):
-    FBM = "fbm"
-    IID_LIMIT = "iid_limit"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid: PathGrid
@@ -49,7 +42,6 @@ class ExperimentConfig:
     functionals: frozenset[FunctionalKind] = field(
         default_factory=lambda: frozenset(FunctionalKind)
     )
-    mode: ExperimentMode = ExperimentMode.FBM
 
     def __post_init__(self):
         if isinstance(self.sample_size, bool) or not isinstance(
@@ -71,8 +63,6 @@ class ExperimentConfig:
             if not isinstance(kind, FunctionalKind):
                 raise TypeError(f"unknown functional {kind!r}")
         object.__setattr__(self, "functionals", kinds)
-        if not isinstance(self.mode, ExperimentMode):
-            raise TypeError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +107,6 @@ def fbm_functional_samples(config: ExperimentConfig) -> dict[FunctionalKind, np.
     Cost is O(n N log N) overall; synthesis is chunked so peak memory stays
     near CHUNK_DRAW_BUDGET draws regardless of n.
     """
-    if config.mode is not ExperimentMode.FBM:
-        raise ValueError("config.mode must be ExperimentMode.FBM")
     spectrum = build_embedding(config.grid)
     n = config.sample_size
     n_pairs = (n + 1) // 2
@@ -136,10 +124,8 @@ def fbm_functional_samples(config: ExperimentConfig) -> dict[FunctionalKind, np.
         increments = _synthesise_pairs(spectrum, noise).reshape(2 * chunk, -1)
         take = min(2 * chunk, n - done)
         paths = np.cumsum(increments[:take], axis=1)
-        if FunctionalKind.MAX in out:
-            out[FunctionalKind.MAX][done:done + take] = paths.max(axis=1)
-        if FunctionalKind.AVERAGE in out:
-            out[FunctionalKind.AVERAGE][done:done + take] = paths.mean(axis=1)
+        for kind, values in out.items():
+            values[done:done + take] = REDUCTIONS[kind](paths)
         done += take
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replication_rng", "spawn_rngs"]
+__all__ = ["replication_rng"]
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -24,8 +24,3 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"replication index must be >= 0, got {index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.default_rng(seq)
-
-
-def spawn_rngs(master_seed: int, start: int, count: int) -> list[np.random.Generator]:
-    """Generators for replications start .. start+count-1."""
-    return [replication_rng(master_seed, start + i) for i in range(count)]

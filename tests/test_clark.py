@@ -64,12 +64,18 @@ PAIR_ORACLE_CASES = [
 ]
 
 
-def iid_spec(n):
+def dense_spec(means, cov):
+    """Array-backed spec of N(means, cov) read from a dense covariance matrix."""
+    cov = np.asarray(cov, dtype=float)
     return GaussianVectorSpec(
-        size=n,
-        mean=lambda i: np.zeros_like(np.asarray(i, dtype=float)),
-        covariance=lambda i, j: (np.asarray(i) == np.asarray(j)).astype(float),
+        mean=np.asarray(means, dtype=float),
+        variance=np.diag(cov).copy(),
+        cross_covariance=lambda k: cov[k, k + 1:],
     )
+
+
+def iid_spec(n):
+    return dense_spec(np.zeros(n), np.eye(n))
 
 
 class TestPairMoments:
@@ -111,21 +117,30 @@ class TestPairMoments:
 class TestCorrelationUpdate:
     def test_iid_pair_with_first_member(self):
         pair = clark_pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
-        got = clark_correlation_update(1.0, 1.0, 1.0, 0.0, 0.0, pair)
-        # Corr(xi, max(xi, eta)) = (1/2) / sqrt(1 - 1/pi)
-        assert got == pytest.approx(0.5 / math.sqrt(1.0 - 1.0 / math.pi), rel=1e-13)
+        got = clark_correlation_update(
+            1.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]), 0.0, pair
+        )
+        # Corr(xi, max(xi, eta)) = (1/2) / sqrt(1 - 1/pi), and by symmetry
+        # the same for eta
+        expected = 0.5 / math.sqrt(1.0 - 1.0 / math.pi)
+        np.testing.assert_allclose(got, [expected, expected], rtol=1e-13)
 
     def test_out_of_range_is_clamped_and_tallied(self):
         diag = ClarkDiagnostics()
         pair = clark_pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
-        got = clark_correlation_update(1.0, 1.0, 1.0, 1.0, 0.0, pair, diag)
-        assert got == 1.0
-        assert diag.clamp_events == 1
+        got = clark_correlation_update(
+            1.0, np.array([1.0, -1.0, 0.0]), 1.0, np.array([1.0, -1.0, 0.0]), 0.0, pair,
+            diag,
+        )
+        np.testing.assert_array_equal(got, [1.0, -1.0, 0.0])
+        assert diag.clamp_events == 2
 
     def test_degenerate_max_returns_zero(self):
         diag = ClarkDiagnostics()
-        got = clark_correlation_update(1.0, 0.5, 1.0, 0.5, 0.0, (1.0, 1.0), diag)
-        assert got == 0.0
+        got = clark_correlation_update(
+            1.0, np.array([0.5, 0.2]), 1.0, np.array([0.5, 0.1]), 0.0, (1.0, 1.0), diag
+        )
+        np.testing.assert_array_equal(got, [0.0, 0.0])
         assert diag.degenerate_events == 1
 
 
@@ -140,18 +155,13 @@ class TestRecursion:
 
     def test_matches_scalar_operations(self):
         # the vectorized recursion must agree with a plain scalar replay
-        # built from the public pair operations
+        # built from the pair moments and Clark's correlation formula
         rng = np.random.default_rng(31)
         n = 6
         a = rng.standard_normal((n, n))
         cov = a @ a.T + 0.5 * np.eye(n)
         means = rng.standard_normal(n)
-        spec = GaussianVectorSpec(
-            size=n,
-            mean=lambda i: means[np.asarray(i)],
-            covariance=lambda i, j: cov[np.asarray(i), np.asarray(j)],
-        )
-        result = run_clark_recursion(spec)
+        result = run_clark_recursion(dense_spec(means, cov))
 
         sd = np.sqrt(np.diag(cov))
         mean_m, second_m = means[0], means[0] ** 2 + cov[0, 0]
@@ -162,13 +172,15 @@ class TestRecursion:
             pair = clark_pair_moments(mean_m, var_m, means[k], cov[k, k], cov_mk)
             a_val = math.sqrt(var_m + cov[k, k] - 2.0 * cov_mk)
             alpha = (mean_m - means[k]) / a_val
+            sd_max = math.sqrt(pair[1] - pair[0] ** 2)
+            p1 = 0.5 * math.erfc(-alpha / math.sqrt(2.0))  # Phi(alpha)
+            p2 = 0.5 * math.erfc(alpha / math.sqrt(2.0))  # Phi(-alpha)
             corr = [
-                clark_correlation_update(
-                    var_m, corr[j - k], cov[k, k], cov[k, j] / (sd[k] * sd[j]),
-                    alpha, pair,
-                )
+                (math.sqrt(var_m) * corr[j - k] * p1
+                 + sd[k] * (cov[k, j] / (sd[k] * sd[j])) * p2) / sd_max
                 for j in range(k + 1, n)
             ]
+            assert all(abs(c) <= 1.0 for c in corr)
             mean_m, second_m = pair
         assert result.expected_max == pytest.approx(mean_m, rel=1e-12)
         assert result.second_moment == pytest.approx(second_m, rel=1e-12)
@@ -185,25 +197,14 @@ class TestRecursion:
         assert clark_expected_max(iid_spec(4)) == pytest.approx(1.029375, abs=2e-3)
 
     def test_identical_variables_collapse(self):
-        same = GaussianVectorSpec(
-            size=5,
-            mean=lambda i: np.zeros_like(np.asarray(i, dtype=float)),
-            covariance=lambda i, j: np.ones(
-                np.broadcast(np.asarray(i), np.asarray(j)).shape
-            ),
-        )
-        result = run_clark_recursion(same)
+        result = run_clark_recursion(dense_spec(np.zeros(5), np.ones((5, 5))))
         assert result.expected_max == 0.0
         assert result.second_moment == 1.0
         assert result.diagnostics.clamp_events == 0
 
     def test_translation_equivariance(self):
         base = iid_spec(4)
-        shifted = GaussianVectorSpec(
-            size=4,
-            mean=lambda i: 2.5 + np.zeros_like(np.asarray(i, dtype=float)),
-            covariance=base.covariance,
-        )
+        shifted = dense_spec(np.full(4, 2.5), np.eye(4))
         assert clark_expected_max(shifted) - clark_expected_max(base) == pytest.approx(
             2.5, rel=1e-13
         )
@@ -231,15 +232,26 @@ class TestRecursion:
     def test_fbm_spec_matches_covariance_matrix(self):
         g = PathGrid(n_points=16, hurst=0.3)
         spec = fbm_vector_spec(g)
-        idx = np.arange(16)
-        np.testing.assert_allclose(spec.mean(idx), np.zeros(16))
-        np.testing.assert_allclose(
-            spec.covariance(idx[:, None], idx[None, :]),
-            fbm_covariance_matrix(g),
-            rtol=1e-13,
-        )
+        cov = fbm_covariance_matrix(g)
+        assert spec.size == 16
+        np.testing.assert_array_equal(spec.mean, np.zeros(16))
+        np.testing.assert_allclose(spec.variance, np.diag(cov), rtol=1e-13)
+        for k in range(16):
+            np.testing.assert_allclose(spec.cross_covariance(k), cov[k, k + 1:], rtol=1e-13)
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match="size"):
+            dense_spec(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="variances"):
+            GaussianVectorSpec(mean=np.zeros(3), variance=np.ones(2),
+                               cross_covariance=lambda k: np.zeros(2 - k))
+        with pytest.raises(ValueError, match="variances must be positive"):
+            run_clark_recursion(dense_spec(np.zeros(2), np.diag([1.0, 0.0])))
 
     def test_size_guard(self):
-        spec = iid_spec(CLARK_MAX_POINTS + 1)
+        n = CLARK_MAX_POINTS + 1
+        spec = GaussianVectorSpec(
+            mean=np.zeros(n), variance=np.ones(n), cross_covariance=lambda k: np.zeros(n - 1 - k)
+        )
         with pytest.raises(ValueError, match="allow_large"):
             run_clark_recursion(spec)

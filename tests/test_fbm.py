@@ -9,7 +9,6 @@ import fbmax.fbm as fbm
 from fbmax.errors import EmbeddingError
 from fbmax.fbm import (
     CHOLESKY_MAX_POINTS,
-    FbmPath,
     _synthesise_pairs,
     _unit_lag_autocovariance,
     build_embedding,
@@ -18,9 +17,6 @@ from fbmax.fbm import (
     circulant_eigenvalues,
     fbm_covariance_matrix,
     fgn_autocovariance,
-    path_from_increments,
-    sample_fgn,
-    sample_fgn_pair,
 )
 from fbmax.grid import PathGrid
 
@@ -205,20 +201,15 @@ class TestEmbedding:
 
 class TestSampling:
     def test_pair_shape_and_determinism(self):
-        spec = build_embedding(PathGrid(n_points=8, hurst=0.3))
-        a = sample_fgn_pair(spec, np.random.default_rng(42))
-        b = sample_fgn_pair(spec, np.random.default_rng(42))
-        c = sample_fgn_pair(spec, np.random.default_rng(43))
-        assert a.shape == (2, 8)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_single_draw_is_first_of_pair(self):
-        spec = build_embedding(PathGrid(n_points=8, hurst=0.3))
-        np.testing.assert_array_equal(
-            sample_fgn(spec, np.random.default_rng(9)),
-            sample_fgn_pair(spec, np.random.default_rng(9))[0],
-        )
+        # N = 5 pads the embedding to 16 points; only the first N are kept
+        spec = build_embedding(PathGrid(n_points=5, hurst=0.3))
+        noise = np.random.default_rng(42).standard_normal((3, 2 * spec.size))
+        a = _synthesise_pairs(spec, noise)
+        assert a.shape == (3, 2, 5)
+        np.testing.assert_array_equal(a, _synthesise_pairs(spec, noise.copy()))
+        # each row is synthesised from its own noise alone
+        np.testing.assert_array_equal(a[1], _synthesise_pairs(spec, noise[1:2])[0])
+        assert not np.array_equal(a[0], a[1])
 
     @pytest.mark.parametrize("h", [0.0001, 0.3, 0.5, 0.9])
     def test_increment_law(self, h):
@@ -249,16 +240,6 @@ class TestSampling:
         variance = paths[:, -1].var(ddof=1)
         se = math.sqrt(2.0 / paths.shape[0])
         assert abs(variance - 1.0) < 5.0 * se
-
-    def test_path_from_increments(self):
-        g = PathGrid(n_points=3, hurst=0.5)
-        path = path_from_increments(np.array([1.0, -2.0, 0.5]), g, seed=(7, 0))
-        np.testing.assert_allclose(path.values, [1.0, -1.0, -0.5])
-        assert path.seed == (7, 0)
-        with pytest.raises(ValueError):
-            path_from_increments(np.zeros(4), g)
-        with pytest.raises(ValueError):
-            FbmPath(grid=g, values=np.zeros(5))
 
 
 class TestCholeskyOracle:

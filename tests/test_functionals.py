@@ -1,40 +1,36 @@
 import numpy as np
 import pytest
 
-from fbmax.fbm import FbmPath, fbm_covariance_matrix
+from fbmax.fbm import fbm_covariance_matrix
 from fbmax.functionals import (
+    REDUCTIONS,
     FunctionalKind,
-    average_functional,
     average_second_moment,
     average_second_moment_limit,
-    evaluate_functional,
-    max_functional,
 )
 from fbmax.grid import PathGrid
+
+MAX = REDUCTIONS[FunctionalKind.MAX]
+AVERAGE = REDUCTIONS[FunctionalKind.AVERAGE]
 
 
 class TestFunctionals:
     def test_on_plain_arrays(self):
-        assert max_functional([-1.0, 2.5, 0.3]) == 2.5
-        assert average_functional([-1.0, 2.5, 0.3]) == pytest.approx(0.6)
+        paths = np.array([[-1.0, 2.5, 0.3]])
+        np.testing.assert_array_equal(MAX(paths), [2.5])
+        np.testing.assert_allclose(AVERAGE(paths), [0.6], rtol=1e-15)
 
     def test_on_paths(self):
-        g = PathGrid(n_points=3, hurst=0.5)
-        path = FbmPath(grid=g, values=np.array([0.5, -0.25, 1.0]))
-        assert max_functional(path) == 1.0
-        assert average_functional(path) == pytest.approx(5.0 / 12.0)
+        # one value per path: a (k, N) batch reduces along N to shape (k,)
+        paths = np.array([[0.5, -0.25, 1.0], [-2.0, -3.0, -1.0]])
+        np.testing.assert_array_equal(MAX(paths), [1.0, -1.0])
+        np.testing.assert_allclose(AVERAGE(paths), [5.0 / 12.0, -2.0], rtol=1e-15)
 
     def test_evaluate_dispatch(self):
-        g = PathGrid(n_points=2, hurst=0.5)
-        path = FbmPath(grid=g, values=np.array([1.0, 3.0]))
-        top = evaluate_functional(path, FunctionalKind.MAX)
-        assert (top.kind, top.value, top.grid) == (FunctionalKind.MAX, 3.0, g)
-        avg = evaluate_functional(path, FunctionalKind.AVERAGE)
-        assert avg.value == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_functional([])
+        assert set(REDUCTIONS) == set(FunctionalKind)
+        paths = np.array([[1.0, 3.0]])
+        assert MAX(paths)[0] == 3.0
+        assert AVERAGE(paths)[0] == 2.0
 
 
 class TestAverageSecondMoment:

@@ -9,7 +9,6 @@ from fbmax.functionals import FunctionalKind
 from fbmax.grid import PathGrid
 from fbmax.montecarlo import (
     ExperimentConfig,
-    ExperimentMode,
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
@@ -17,7 +16,7 @@ from fbmax.montecarlo import (
     run_iid_limit_experiment,
     summarize,
 )
-from fbmax.rng import replication_rng, spawn_rngs
+from fbmax.rng import replication_rng
 
 
 class TestReplicationRng:
@@ -39,15 +38,6 @@ class TestReplicationRng:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             replication_rng(1, -1)
-
-    def test_spawn_matches_direct_access(self):
-        rngs = spawn_rngs(9, start=3, count=2)
-        np.testing.assert_array_equal(
-            rngs[0].standard_normal(4), replication_rng(9, 3).standard_normal(4)
-        )
-        np.testing.assert_array_equal(
-            rngs[1].standard_normal(4), replication_rng(9, 4).standard_normal(4)
-        )
 
 
 class TestSummarize:
@@ -93,7 +83,6 @@ class TestExperimentConfig:
     def test_defaults_request_both_functionals(self):
         cfg = ExperimentConfig(grid=PathGrid(n_points=4, hurst=0.5), sample_size=2, master_seed=0)
         assert cfg.functionals == frozenset(FunctionalKind)
-        assert cfg.mode is ExperimentMode.FBM
 
     def test_validation(self):
         grid = PathGrid(n_points=4, hurst=0.5)
@@ -151,16 +140,6 @@ class TestFbmExperiment:
             functionals=frozenset({FunctionalKind.MAX}),
         )
         assert set(fbm_functional_samples(cfg)) == {FunctionalKind.MAX}
-
-    def test_mode_guard(self):
-        cfg = ExperimentConfig(
-            grid=PathGrid(n_points=8, hurst=0.5),
-            sample_size=3,
-            master_seed=0,
-            mode=ExperimentMode.IID_LIMIT,
-        )
-        with pytest.raises(ValueError):
-            fbm_functional_samples(cfg)
 
 
 class TestIidLimitExperiment:
