@@ -10,10 +10,8 @@ from .bounds import (
     BoundsReport,
     borovkov_bounds,
     bounds_report,
-    delta_lower_bound,
     delta_upper_bound,
     limit_integral,
-    limit_rate_bound,
     relative_error_lower,
     sudakov_lower_bound,
     sudakov_maximizer,
@@ -33,21 +31,16 @@ from .fbm import (
     fbm_covariance_matrix,
     fgn_autocovariance,
 )
-from .functionals import (
-    FunctionalKind,
-    average_second_moment,
-    average_second_moment_limit,
-)
+from .functionals import FunctionalKind, average_second_moment
 from .grid import PathGrid
 from .montecarlo import (
     ExperimentConfig,
     SampleSummary,
-    run_fbm_experiment,
     run_iid_limit_experiment,
     summarize,
 )
 from .rng import replication_rng
-from .special import inverse_erf, inverse_erfc, norm_cdf, norm_pdf
+from .special import inverse_erfc, norm_cdf, norm_pdf
 
 __version__ = "0.1.0"
 
@@ -64,28 +57,23 @@ __all__ = [
     "QuadratureError",
     "SampleSummary",
     "average_second_moment",
-    "average_second_moment_limit",
     "borovkov_bounds",
     "bounds_report",
     "build_embedding",
     "cholesky_oracle_paths",
     "clark_expected_max",
     "clark_pair_moments",
-    "delta_lower_bound",
     "delta_upper_bound",
     "fbm_covariance_matrix",
     "fbm_vector_spec",
     "fgn_autocovariance",
-    "inverse_erf",
     "inverse_erfc",
     "limit_integral",
-    "limit_rate_bound",
     "norm_cdf",
     "norm_pdf",
     "relative_error_lower",
     "replication_rng",
     "run_clark_recursion",
-    "run_fbm_experiment",
     "run_iid_limit_experiment",
     "summarize",
     "sudakov_lower_bound",

@@ -39,8 +39,6 @@ __all__ = [
     "limit_integral",
     "limit_integral_quantile_form",
     "limit_integral_tail_form",
-    "limit_rate_bound",
-    "delta_lower_bound",
     "relative_error_lower",
     "bounds_report",
 ]
@@ -209,23 +207,6 @@ def limit_integral(n_points: int) -> float:
             f"quantile form {value!r} vs tail form {check!r}"
         )
     return value
-
-
-def limit_rate_bound(n_points: int, hurst: float) -> float:
-    """Convergence-rate bound 1 - N^(-2H) for the scaled discrete maximum."""
-    n_points = _check_points(n_points)
-    hurst = _check_hurst(hurst)
-    return -math.expm1(-2.0 * hurst * math.log(n_points)) if n_points > 1 else 0.0
-
-
-def delta_lower_bound(n_points: int, hurst: float) -> float:
-    """Lower bound on the discretization error for small H:
-
-        1/(2 sqrt(H pi e ln 2)) - limit_integral(N)
-
-    May be negative (the bound is then vacuous); returned as-is.
-    """
-    return borovkov_bounds(hurst).lower - limit_integral(n_points)
 
 
 def relative_error_lower(hurst: float) -> float:

@@ -11,16 +11,22 @@ and ``limit`` (the limit integral alone).
 Every numeric column is emitted twice: rounded to 4 decimals for comparison
 against the published tables, and at full precision for numerical work.
 Output is CSV (default) or JSON lines; runs are byte-for-byte reproducible
-for a fixed seed. Exit codes: 0 success, 2 usage error, 3 numerical failure.
+for a fixed seed. Each subcommand is one row function, called once per
+(H, N) cell; its rows are written and flushed as the cell finishes, so a
+run that fails keeps every cell before the failure. Exit codes: 0 success,
+2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
-from typing import Any, Iterable
+import time
+from typing import Any
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .functionals import FunctionalKind, average_second_moment
 from .grid import PathGrid
 from .montecarlo import (
     ExperimentConfig,
+    SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
     run_iid_limit_experiment,
@@ -52,8 +59,7 @@ TABLE_H_VALUES = (0.09, 0.01, 0.0013, 0.0001)
 BOUNDS_H_VALUES = (0.5, 0.09, 0.01, 0.0013, 0.0001)
 #: Replication counts of the iid-limit table.
 TABLE2_SAMPLE_SIZES = (1000, 5000, 10000, 15000, 20000)
-#: Subcommands that read --h, and those that read --samples and --seed.
-HURST_COMMANDS = ("table1", "table4", "figures", "bounds", "simulate")
+#: Subcommands that read --samples and --seed.
 SAMPLING_COMMANDS = ("table1", "table2", "table3", "figures", "simulate", "limit")
 
 
@@ -71,11 +77,135 @@ def _hurst_arg(text: str) -> float:
     return value
 
 
-def _n_exp_arg(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 31:
-        raise argparse.ArgumentTypeError(f"n-exp must lie in [0, 31], got {text}")
-    return value
+def _int_arg(flag: str, low: int, high: int | None = None):
+    """An argparse type: an integer in [low, high], or at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"lie in [{low}, {high}]" if high is not None else f"be >= {low}"
+            raise argparse.ArgumentTypeError(f"{flag} must {bound}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
+# -- one row function per subcommand: (args, hurst, exponent) -> rows -----------
+
+
+def _cell(hurst: float | None, exponent: int) -> dict[str, Any]:
+    """The columns that name a cell: H (when the command has one), J and N."""
+    row = {} if hurst is None else {"h": hurst}
+    return row | {"n_exp": exponent, "n": 2 ** exponent}
+
+
+def _pair(name: str, value: float | None) -> dict[str, Any]:
+    if value is None:
+        return {f"{name}_4dp": "", name: None}
+    return {f"{name}_4dp": f"{value:.4f}", name: float(value)}
+
+
+def _mc_pairs(stats: SampleSummary) -> dict[str, Any]:
+    return _pair("mc_mean", stats.mean) | _pair("mc_se", (stats.variance / stats.count) ** 0.5)
+
+
+def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
+    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
+    row = _cell(hurst, exponent)
+    if args.method in (None, "mc"):
+        config = ExperimentConfig(grid=grid, sample_size=args.samples,
+                                  master_seed=args.seed,
+                                  functionals=frozenset({FunctionalKind.MAX}))
+        row |= _mc_pairs(summarize(fbm_functional_samples(config)[FunctionalKind.MAX]))
+    if args.method in (None, "clark"):
+        if grid.n_points > CLARK_MAX_POINTS and not args.force_large_clark:
+            row |= _pair("clark", None) | {"clark_status": "skipped"}
+        else:
+            value = clark_expected_max(fbm_vector_spec(grid), allow_large=True)
+            row |= _pair("clark", value) | {"clark_status": "ok"}
+    return [row]
+
+
+def _iid_rows(args, hurst: None, exponent: int) -> list[dict]:
+    n_points = 2 ** exponent
+    sizes = TABLE2_SAMPLE_SIZES if args.samples is None else (args.samples,)
+    # nested prefixes of one replication stream serve every sample size
+    samples = iid_limit_samples(n_points, max(sizes), args.seed)
+    row = _cell(None, exponent)
+    for size in sizes:
+        row |= _pair(f"mean_n{size}", float(np.mean(samples[:size])))
+    return [row | _pair("integral", limit_integral(n_points))]
+
+
+def _table4_rows(args, hurst: float, exponent: int) -> list[dict]:
+    n_star, peak = sudakov_maximizer(hurst)
+    return [_cell(hurst, exponent)
+            | _pair("sudakov", sudakov_lower_bound(2 ** exponent, hurst))
+            | _pair("borovkov_lower", borovkov_bounds(hurst).lower)
+            | {"sudakov_n_star": n_star}
+            | _pair("sudakov_max", peak)]
+
+
+def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
+    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
+    config = ExperimentConfig(grid=grid, sample_size=args.samples, master_seed=args.seed)
+    samples = fbm_functional_samples(config)
+    statistics = (
+        ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
+        ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
+         average_second_moment(grid)),
+        ("max_mean", samples[FunctionalKind.MAX], borovkov_bounds(hurst).lower),
+    )
+    rows = []
+    for figure, (statistic, values, theory) in enumerate(statistics, start=1):
+        stats = summarize(values)
+        rows.append({"figure": figure, "statistic": statistic}
+                    | _cell(hurst, exponent)
+                    | _pair("sample", stats.mean)
+                    | _pair("theory", theory)
+                    | _pair("ci_low", stats.ci95_low)
+                    | _pair("ci_high", stats.ci95_high))
+    return rows
+
+
+def _bounds_rows(args, hurst: float, exponent: int) -> list[dict]:
+    report = bounds_report(2 ** exponent, hurst)
+    row = _cell(hurst, exponent)
+    for name in ("borovkov_lower", "borovkov_upper", "sudakov_lower", "delta_upper",
+                 "limit_integral", "delta_lower", "relative_error_lower"):
+        row |= _pair(name, getattr(report, name))
+    return [row]
+
+
+def _simulate_rows(args, hurst: float, exponent: int) -> list[dict]:
+    config = ExperimentConfig(grid=PathGrid(n_points=2 ** exponent, hurst=hurst),
+                              sample_size=args.samples, master_seed=args.seed)
+    samples = fbm_functional_samples(config)
+    maxima, averages = samples[FunctionalKind.MAX], samples[FunctionalKind.AVERAGE]
+    return [_cell(hurst, exponent) | {"replication": rep}
+            | _pair("max", float(maxima[rep])) | _pair("average", float(averages[rep]))
+            for rep in range(args.samples)]
+
+
+def _limit_rows(args, hurst: None, exponent: int) -> list[dict]:
+    n_points = 2 ** exponent
+    if args.method == "integral":
+        return [_cell(None, exponent) | _pair("limit", limit_integral(n_points))]
+    stats = run_iid_limit_experiment(n_points, args.samples, args.seed)
+    return [_cell(None, exponent) | _mc_pairs(stats)]
+
+
+#: name -> (row function, default H values or None without --h, default J values)
+_COMMANDS = {
+    "table1": (_table1_rows, TABLE_H_VALUES, range(8, 20)),
+    "table2": (_iid_rows, None, range(8, 20)),
+    "table3": (_iid_rows, None, range(20, 26)),
+    "table4": (_table4_rows, BOUNDS_H_VALUES, range(8, 20)),
+    "figures": (_figures_rows, tuple(default_hurst_grid()), range(8, 20)),
+    "bounds": (_bounds_rows, BOUNDS_H_VALUES, (20,)),
+    "simulate": (_simulate_rows, (0.5,), (10,)),
+    "limit": (_limit_rows, None, range(8, 21)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,16 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         # no prefix matching: "--h" on a subcommand without it would mean --help
         cmd = cmds[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if name in HURST_COMMANDS:
+        if _COMMANDS[name][1] is not None:
             cmd.add_argument("--h", dest="h_values", type=_hurst_arg, action="append",
                              metavar="H", help="Hurst index, repeatable")
-        cmd.add_argument("--n-exp", dest="n_exponents", type=_n_exp_arg,
+        cmd.add_argument("--n-exp", dest="n_exponents", type=_int_arg("--n-exp", 0, 31),
                          action="append", metavar="J",
                          help="grid size exponent: N = 2^J, repeatable")
         if name in SAMPLING_COMMANDS:
-            cmd.add_argument("--samples", type=int, default=None,
-                             help=f"replications per cell (default {DEFAULT_SAMPLES})")
-            cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
+            # on table2, no --samples means each of the published sizes
+            default = None if name == "table2" else DEFAULT_SAMPLES
+            cmd.add_argument("--samples", type=_int_arg("--samples", 2), default=default,
+                             help="replications per cell "
+                             f"(default {default or 'the published sizes'})")
+            cmd.add_argument("--seed", type=_int_arg("--seed", 0), default=DEFAULT_SEED,
                              help=f"master seed (default {DEFAULT_SEED})")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--out", default=None, metavar="PATH",
@@ -121,254 +254,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
-
-
-def _log(args: argparse.Namespace, message: str) -> None:
-    print(f"[{args.command}] {message}", file=sys.stderr, flush=True)
-
-
-def _samples_of(args: argparse.Namespace) -> int:
-    n = DEFAULT_SAMPLES if args.samples is None else args.samples
-    if n < 2:
-        raise ValueError(f"--samples must be >= 2, got {n}")
-    return n
-
-
-def _exponents(args, default: Iterable[int]) -> list[int]:
-    return args.n_exponents if args.n_exponents else list(default)
-
-
-def _grids(args, default_h: Iterable[float], default_exp: Iterable[int]):
-    h_values = args.h_values if args.h_values else list(default_h)
-    return h_values, _exponents(args, default_exp)
-
-
-def _pair(name: str, value: float | None) -> list[tuple[str, Any]]:
-    if value is None:
-        return [(f"{name}_4dp", ""), (name, None)]
-    return [(f"{name}_4dp", _fmt(value)), (name, float(value))]
-
-
-def _max_samples(args, hurst: float, n_points: int, sample_size: int) -> np.ndarray:
-    config = ExperimentConfig(
-        grid=PathGrid(n_points=n_points, hurst=hurst),
-        sample_size=sample_size,
-        master_seed=args.seed,
-        functionals=frozenset({FunctionalKind.MAX}),
-    )
-    return fbm_functional_samples(config)[FunctionalKind.MAX]
-
-
-def _cmd_table1(args) -> list[dict]:
-    h_values, exponents = _grids(args, TABLE_H_VALUES, range(8, 20))
-    method = args.method or "both"
-    sample_size = _samples_of(args)
-    rows = []
-    for hurst in h_values:
-        for exponent in exponents:
-            n_points = 2 ** exponent
-            row: list[tuple[str, Any]] = [
-                ("h", hurst), ("n_exp", exponent), ("n", n_points),
-            ]
-            if method in ("mc", "both"):
-                stats = summarize(_max_samples(args, hurst, n_points, sample_size))
-                row += _pair("mc_mean", stats.mean)
-                row += _pair("mc_se", (stats.variance / stats.count) ** 0.5)
-            if method in ("clark", "both"):
-                grid = PathGrid(n_points=n_points, hurst=hurst)
-                if n_points > CLARK_MAX_POINTS and not args.force_large_clark:
-                    row += _pair("clark", None)
-                    row.append(("clark_status", "skipped"))
-                else:
-                    value = clark_expected_max(fbm_vector_spec(grid), allow_large=True)
-                    row += _pair("clark", value)
-                    row.append(("clark_status", "ok"))
-            rows.append(dict(row))
-            _log(args, f"H={hurst} N=2^{exponent} done")
-    return rows
-
-
-def _iid_table(args, default_exponents, sample_sizes) -> list[dict]:
-    exponents = _exponents(args, default_exponents)
-    rows = []
-    for exponent in exponents:
-        n_points = 2 ** exponent
-        row: list[tuple[str, Any]] = [("n_exp", exponent), ("n", n_points)]
-        # nested prefixes of one replication stream serve every sample size
-        samples = iid_limit_samples(n_points, max(sample_sizes), args.seed)
-        for size in sample_sizes:
-            row += _pair(f"mean_n{size}", float(np.mean(samples[:size])))
-        row += _pair("integral", limit_integral(n_points))
-        rows.append(dict(row))
-        _log(args, f"N=2^{exponent} done")
-    return rows
-
-
-def _cmd_table2(args) -> list[dict]:
-    sizes = TABLE2_SAMPLE_SIZES if args.samples is None else (_samples_of(args),)
-    return _iid_table(args, range(8, 20), sizes)
-
-
-def _cmd_table3(args) -> list[dict]:
-    return _iid_table(args, range(20, 26), (_samples_of(args),))
-
-
-def _cmd_table4(args) -> list[dict]:
-    h_values, exponents = _grids(args, BOUNDS_H_VALUES, range(8, 20))
-    rows = []
-    for hurst in h_values:
-        lower = borovkov_bounds(hurst).lower
-        n_star, peak = sudakov_maximizer(hurst)
-        for exponent in exponents:
-            n_points = 2 ** exponent
-            row: list[tuple[str, Any]] = [("h", hurst), ("n_exp", exponent),
-                                          ("n", n_points)]
-            row += _pair("sudakov", sudakov_lower_bound(n_points, hurst))
-            row += _pair("borovkov_lower", lower)
-            row.append(("sudakov_n_star", n_star))
-            row += _pair("sudakov_max", peak)
-            rows.append(dict(row))
-    return rows
-
-
-def _cmd_figures(args) -> list[dict]:
-    h_values, exponents = _grids(args, default_hurst_grid(), range(8, 20))
-    sample_size = _samples_of(args)
-    rows = []
-    for hurst in h_values:
-        for exponent in exponents:
-            n_points = 2 ** exponent
-            grid = PathGrid(n_points=n_points, hurst=hurst)
-            config = ExperimentConfig(grid=grid, sample_size=sample_size,
-                                      master_seed=args.seed)
-            samples = fbm_functional_samples(config)
-            cells = (
-                ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
-                ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
-                 average_second_moment(grid)),
-                ("max_mean", samples[FunctionalKind.MAX],
-                 borovkov_bounds(hurst).lower),
-            )
-            for figure, (statistic, values, theory) in enumerate(cells, start=1):
-                stats = summarize(values)
-                row: list[tuple[str, Any]] = [
-                    ("figure", figure), ("statistic", statistic),
-                    ("h", hurst), ("n_exp", exponent), ("n", n_points),
-                ]
-                row += _pair("sample", stats.mean)
-                row += _pair("theory", theory)
-                row += _pair("ci_low", stats.ci95_low)
-                row += _pair("ci_high", stats.ci95_high)
-                rows.append(dict(row))
-            _log(args, f"H={hurst} N=2^{exponent} done")
-    return rows
-
-
-def _cmd_bounds(args) -> list[dict]:
-    h_values, exponents = _grids(args, BOUNDS_H_VALUES, (20,))
-    rows = []
-    for hurst in h_values:
-        for exponent in exponents:
-            report = bounds_report(2 ** exponent, hurst)
-            row: list[tuple[str, Any]] = [("h", hurst), ("n_exp", exponent),
-                                          ("n", report.n_points)]
-            row += _pair("borovkov_lower", report.borovkov_lower)
-            row += _pair("borovkov_upper", report.borovkov_upper)
-            row += _pair("sudakov_lower", report.sudakov_lower)
-            row += _pair("delta_upper", report.delta_upper)
-            row += _pair("limit_integral", report.limit_integral)
-            row += _pair("delta_lower", report.delta_lower)
-            row += _pair("relative_error_lower", report.relative_error_lower)
-            rows.append(dict(row))
-    return rows
-
-
-def _cmd_simulate(args) -> list[dict]:
-    h_values, exponents = _grids(args, (0.5,), (10,))
-    sample_size = _samples_of(args)
-    rows = []
-    for hurst in h_values:
-        for exponent in exponents:
-            n_points = 2 ** exponent
-            config = ExperimentConfig(
-                grid=PathGrid(n_points=n_points, hurst=hurst),
-                sample_size=sample_size,
-                master_seed=args.seed,
-            )
-            samples = fbm_functional_samples(config)
-            for rep in range(sample_size):
-                row: list[tuple[str, Any]] = [
-                    ("h", hurst), ("n_exp", exponent), ("n", n_points),
-                    ("replication", rep),
-                ]
-                row += _pair("max", float(samples[FunctionalKind.MAX][rep]))
-                row += _pair("average", float(samples[FunctionalKind.AVERAGE][rep]))
-                rows.append(dict(row))
-    return rows
-
-
-def _cmd_limit(args) -> list[dict]:
-    exponents = _exponents(args, range(8, 21))
-    rows = []
-    for exponent in exponents:
-        n_points = 2 ** exponent
-        row: list[tuple[str, Any]] = [("n_exp", exponent), ("n", n_points)]
-        if args.method == "integral":
-            row += _pair("limit", limit_integral(n_points))
-        else:
-            stats = run_iid_limit_experiment(n_points, _samples_of(args), args.seed)
-            row += _pair("mc_mean", stats.mean)
-            row += _pair("mc_se", (stats.variance / stats.count) ** 0.5)
-        rows.append(dict(row))
-    return rows
-
-
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
-    "figures": _cmd_figures,
-    "bounds": _cmd_bounds,
-    "simulate": _cmd_simulate,
-    "limit": _cmd_limit,
-}
-
-
-def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
-    if out is None:
-        _dump_rows(rows, fmt, sys.stdout)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        _dump_rows(rows, fmt, handle)
-
-
-def _dump_rows(rows: list[dict], fmt: str, handle) -> None:
-    if not rows:
-        return
-    if fmt == "json":
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
-        return
-    writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    rows_of, default_h, default_exponents = _COMMANDS[args.command]
+    h_values = [None] if default_h is None else args.h_values or default_h
+    cells = itertools.product(h_values, args.n_exponents or default_exponents)
+    try:  # before the first cell, so a bad path costs no computation
+        output = (contextlib.nullcontext(sys.stdout) if args.out is None
+                  else open(args.out, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        print(f"fbmax: invalid request: {exc}", file=sys.stderr)
+        return 2
+    writer = None
     try:
-        rows = _COMMANDS[args.command](args)
+        with output as handle:
+            for hurst, exponent in cells:
+                start = time.perf_counter()
+                rows = rows_of(args, hurst, exponent)
+                if args.format == "json":
+                    handle.writelines(json.dumps(row) + "\n" for row in rows)
+                else:
+                    if writer is None:
+                        writer = csv.DictWriter(handle, fieldnames=list(rows[0]),
+                                                lineterminator="\n")
+                        writer.writeheader()
+                    writer.writerows({k: "" if v is None else v for k, v in row.items()}
+                                     for row in rows)
+                handle.flush()  # a later failure keeps this cell
+                cell = f"N=2^{exponent}" if hurst is None else f"H={hurst} N=2^{exponent}"
+                print(f"[{args.command}] {cell} done in {time.perf_counter() - start:.3f} s",
+                      file=sys.stderr, flush=True)
     except NumericalError as exc:
         print(f"fbmax: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:
         print(f"fbmax: invalid request: {exc}", file=sys.stderr)
         return 2
-    _write_rows(rows, args.format, args.out)
     return 0
 
 

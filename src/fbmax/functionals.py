@@ -20,7 +20,6 @@ __all__ = [
     "FunctionalKind",
     "REDUCTIONS",
     "average_second_moment",
-    "average_second_moment_limit",
 ]
 
 
@@ -49,10 +48,3 @@ def average_second_moment(grid: PathGrid) -> float:
     powers = np.arange(1, n + 1, dtype=float) ** exponent
     total = math.fsum(powers)
     return float(n) ** (-(2.0 * grid.hurst + 2.0)) * total
-
-
-def average_second_moment_limit(hurst: float) -> float:
-    """Large-N limit 1/(2H+2) of the average functional's second moment."""
-    if not (0.0 < hurst < 1.0):
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst!r}")
-    return 1.0 / (2.0 * hurst + 2.0)

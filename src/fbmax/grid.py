@@ -35,8 +35,3 @@ class PathGrid:
     def times(self) -> np.ndarray:
         """Grid times (1/N, 2/N, ..., 1) as a float vector."""
         return np.arange(1, self.n_points + 1) / self.n_points
-
-    @property
-    def mesh(self) -> float:
-        """Spacing 1/N between neighbouring grid points."""
-        return 1.0 / self.n_points

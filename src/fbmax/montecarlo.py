@@ -23,7 +23,6 @@ __all__ = [
     "SampleSummary",
     "summarize",
     "fbm_functional_samples",
-    "run_fbm_experiment",
     "iid_limit_samples",
     "run_iid_limit_experiment",
 ]
@@ -72,7 +71,6 @@ class SampleSummary:
     variance: float
     ci95_low: float
     ci95_high: float
-    functional: FunctionalKind | None = None
 
     def __post_init__(self):
         if self.variance < 0.0:
@@ -81,9 +79,7 @@ class SampleSummary:
             raise ValueError("confidence interval must contain the mean")
 
 
-def summarize(
-    samples: np.ndarray, functional: FunctionalKind | None = None
-) -> SampleSummary:
+def summarize(samples: np.ndarray) -> SampleSummary:
     """Unbiased mean/variance and a normal-approximation 95% interval."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -97,7 +93,6 @@ def summarize(
         variance=variance,
         ci95_low=mean - half_width,
         ci95_high=mean + half_width,
-        functional=functional,
     )
 
 
@@ -130,11 +125,6 @@ def fbm_functional_samples(config: ExperimentConfig) -> dict[FunctionalKind, np.
     return out
 
 
-def run_fbm_experiment(config: ExperimentConfig) -> dict[FunctionalKind, SampleSummary]:
-    samples = fbm_functional_samples(config)
-    return {kind: summarize(values, kind) for kind, values in samples.items()}
-
-
 def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.ndarray:
     """Samples of (1/sqrt 2) max(0, max of N iid standard normals).
 
@@ -163,4 +153,4 @@ def run_iid_limit_experiment(
     n_points: int, sample_size: int, master_seed: int
 ) -> SampleSummary:
     samples = iid_limit_samples(n_points, sample_size, master_seed)
-    return summarize(samples, FunctionalKind.MAX)
+    return summarize(samples)

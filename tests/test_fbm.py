@@ -32,7 +32,7 @@ class TestPathGrid:
     def test_times_and_mesh(self):
         g = PathGrid(n_points=4, hurst=0.3)
         np.testing.assert_allclose(g.times, [0.25, 0.5, 0.75, 1.0])
-        assert g.mesh == 0.25
+        assert np.diff(g.times, prepend=0.0).tolist() == [0.25] * 4
 
     @pytest.mark.parametrize("n,h", [(0, 0.5), (-3, 0.5), (8, 0.0), (8, 1.0), (8, -0.1)])
     def test_rejects_bad_arguments(self, n, h):

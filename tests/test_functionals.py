@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from fbmax.fbm import fbm_covariance_matrix
-from fbmax.functionals import (
-    REDUCTIONS,
-    FunctionalKind,
-    average_second_moment,
-    average_second_moment_limit,
-)
+from fbmax.functionals import REDUCTIONS, FunctionalKind, average_second_moment
 from fbmax.grid import PathGrid
 
 MAX = REDUCTIONS[FunctionalKind.MAX]
@@ -51,7 +46,7 @@ class TestAverageSecondMoment:
 
     @pytest.mark.parametrize("h", [0.0001, 0.25, 0.5, 0.9])
     def test_decreases_to_limit(self, h):
-        limit = average_second_moment_limit(h)
+        limit = 1.0 / (2.0 * h + 2.0)  # the large-N limit of the second moment
         gaps = [
             average_second_moment(PathGrid(n_points=2 ** k, hurst=h)) - limit
             for k in range(3, 11)
@@ -60,8 +55,8 @@ class TestAverageSecondMoment:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_limit_values(self):
-        assert average_second_moment_limit(0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
-        with pytest.raises(ValueError):
-            average_second_moment_limit(0.0)
-        with pytest.raises(ValueError):
-            average_second_moment_limit(1.0)
+        # at H = 1/2 the moment is (N+1)(2N+1)/(6N^2), which tends to 1/3
+        for n in (2 ** 4, 2 ** 10, 2 ** 16):
+            moment = average_second_moment(PathGrid(n_points=n, hurst=0.5))
+            assert moment == pytest.approx((n + 1) * (2 * n + 1) / (6 * n * n), rel=1e-13)
+        assert moment == pytest.approx(1.0 / 3.0, abs=1e-4)

@@ -12,7 +12,6 @@ from fbmax.montecarlo import (
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
-    run_fbm_experiment,
     run_iid_limit_experiment,
     summarize,
 )
@@ -62,11 +61,6 @@ class TestSummarize:
         assert half == pytest.approx(1.96 / math.sqrt(1e5), rel=0.05)
         assert s.ci95_low < 0.0 < s.ci95_high
 
-    def test_functional_tag(self):
-        s = summarize(np.array([1.0, 2.0]), FunctionalKind.MAX)
-        assert s.functional is FunctionalKind.MAX
-        assert summarize(np.array([1.0, 2.0])).functional is None
-
     @pytest.mark.parametrize("bad", [np.empty(0), np.array([1.0]), np.ones((2, 2))])
     def test_rejects_short_or_nonvector(self, bad):
         with pytest.raises(ValueError):
@@ -101,7 +95,9 @@ class TestExperimentConfig:
 class TestFbmExperiment:
     def test_deterministic_rerun(self):
         cfg = ExperimentConfig(grid=PathGrid(n_points=16, hurst=0.2), sample_size=9, master_seed=5)
-        assert run_fbm_experiment(cfg) == run_fbm_experiment(cfg)
+        first, second = fbm_functional_samples(cfg), fbm_functional_samples(cfg)
+        for kind in FunctionalKind:
+            np.testing.assert_array_equal(first[kind], second[kind])
 
     def test_chunking_does_not_change_samples(self, monkeypatch):
         cfg = ExperimentConfig(grid=PathGrid(n_points=32, hurst=0.3), sample_size=11, master_seed=7)
@@ -124,10 +120,10 @@ class TestFbmExperiment:
     def test_single_point_grid_is_standard_normal(self):
         # one grid point: the path is B(1) ~ N(0, 1) and max == average
         cfg = ExperimentConfig(grid=PathGrid(n_points=1, hurst=0.5), sample_size=400, master_seed=11)
-        result = run_fbm_experiment(cfg)
-        m = result[FunctionalKind.MAX]
-        assert m.mean == result[FunctionalKind.AVERAGE].mean
-        assert m.variance == result[FunctionalKind.AVERAGE].variance
+        samples = fbm_functional_samples(cfg)
+        np.testing.assert_array_equal(samples[FunctionalKind.MAX],
+                                      samples[FunctionalKind.AVERAGE])
+        m = summarize(samples[FunctionalKind.MAX])
         se = math.sqrt(m.variance / m.count)
         assert abs(m.mean) < 5.0 * se
         assert m.variance == pytest.approx(1.0, rel=0.3)
@@ -159,7 +155,6 @@ class TestIidLimitExperiment:
         r = run_iid_limit_experiment(1, 3000, 24)
         se = math.sqrt(r.variance / r.count)
         assert r.mean == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=3.0 * se)
-        assert r.functional is FunctionalKind.MAX
 
     def test_mean_matches_limit_integral(self):
         r = run_iid_limit_experiment(256, 2000, 22)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from fbmax.special import inverse_erf, inverse_erfc, norm_cdf, norm_pdf
+from fbmax.special import inverse_erfc, norm_cdf, norm_pdf
+
+
+def inverse_erf(y):
+    """erf^(-1)(y) = erfc^(-1)(1 - y), the form the limit integral uses."""
+    return inverse_erfc(1.0 - y)
 
 
 def bisect_inverse_erf(y, tol=1e-13):
