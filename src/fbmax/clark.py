@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PathGrid
+from .fbm import PathGrid
 from .special import norm_cdf, norm_pdf
 
 __all__ = [

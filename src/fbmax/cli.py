@@ -13,8 +13,9 @@ against the published tables, and at full precision for numerical work.
 Output is CSV (default) or JSON lines; runs are byte-for-byte reproducible
 for a fixed seed. Each subcommand is one row function, called once per
 (H, N) cell; its rows are written and flushed as the cell finishes, so a
-run that fails keeps every cell before the failure. Exit codes: 0 success,
-2 usage error, 3 numerical failure.
+run that fails keeps every cell before the failure. Exit codes: 0 success
+(also when the reader of stdout closes it early), 2 usage error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -39,10 +41,10 @@ from .bounds import (
 )
 from .clark import CLARK_MAX_POINTS, clark_expected_max, fbm_vector_spec
 from .errors import NumericalError
-from .functionals import FunctionalKind, average_second_moment
-from .grid import PathGrid
+from .fbm import PathGrid, average_second_moment
 from .montecarlo import (
     ExperimentConfig,
+    FunctionalKind,
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
@@ -284,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
                 cell = f"N=2^{exponent}" if hurst is None else f"H={hurst} N=2^{exponent}"
                 print(f"[{args.command}] {cell} done in {time.perf_counter() - start:.3f} s",
                       file=sys.stderr, flush=True)
+    except BrokenPipeError:  # the reader has gone, as with `| head`: stop quietly
+        # so that the interpreter's final flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except NumericalError as exc:
         print(f"fbmax: numerical failure: {exc}", file=sys.stderr)
         return 3

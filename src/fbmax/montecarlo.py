@@ -8,17 +8,18 @@ replications 2s and 2s+1 come from pair s.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import build_embedding, _synthesise_pairs
-from .functionals import REDUCTIONS, FunctionalKind
-from .grid import PathGrid
-from .rng import replication_rng
+from .fbm import PathGrid, build_embedding, _synthesise_pairs
 
 __all__ = [
+    "FunctionalKind",
+    "REDUCTIONS",
+    "replication_rng",
     "ExperimentConfig",
     "SampleSummary",
     "summarize",
@@ -31,6 +32,35 @@ __all__ = [
 CI95_QUANTILE = 1.96
 #: Per-chunk budget of normal draws, bounding memory for long paths.
 CHUNK_DRAW_BUDGET = 2 ** 22
+
+
+class FunctionalKind(enum.Enum):
+    """The path functionals: the maximum, whose expectation the package
+    estimates and bounds, and the average, an exact probe of the sampler
+    (see ``fbm.average_second_moment``)."""
+
+    MAX = "max"
+    AVERAGE = "average"
+
+
+#: Each functional as a reduction of sampled paths, shape (k, N) -> (k,).
+REDUCTIONS = {
+    FunctionalKind.MAX: lambda paths: paths.max(axis=1),
+    FunctionalKind.AVERAGE: lambda paths: paths.mean(axis=1),
+}
+
+
+def replication_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Return the generator for one replication.
+
+    The stream is the ``index``-th spawn of ``SeedSequence(master_seed)``,
+    reachable directly through its spawn key, so obtaining replication k does
+    not require generating streams 0..k-1 first.
+    """
+    if index < 0:
+        raise ValueError(f"replication index must be >= 0, got {index}")
+    seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    return np.random.default_rng(seq)
 
 
 @dataclass(frozen=True)

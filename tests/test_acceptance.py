@@ -33,14 +33,14 @@ from fbmax.bounds import (
 )
 from fbmax.clark import clark_expected_max, clark_pair_moments, fbm_vector_spec
 from fbmax.fbm import (
+    PathGrid,
     _synthesise_pairs,
+    average_second_moment,
     build_embedding,
     cholesky_oracle_paths,
     fbm_covariance_matrix,
 )
-from fbmax.functionals import FunctionalKind, average_second_moment
-from fbmax.grid import PathGrid
-from fbmax.montecarlo import ExperimentConfig, fbm_functional_samples
+from fbmax.montecarlo import ExperimentConfig, FunctionalKind, fbm_functional_samples
 
 
 def _max_samples(n_points, hurst, sample_size, seed):

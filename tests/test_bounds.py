@@ -50,6 +50,11 @@ class TestBorovkov:
         with pytest.raises(ValueError):
             borovkov_bounds(h)
 
+    def test_brackets_brownian_maximum(self):
+        # at H = 1/2, E max_{[0,1]} B = sqrt(2/pi) = 0.7979 (reflection principle)
+        lower, upper = borovkov_bounds(0.5)
+        assert lower < math.sqrt(2.0 / math.pi) < upper
+
 
 class TestDeltaUpper:
     def test_large_grid_small_hurst(self):

@@ -14,8 +14,7 @@ from fbmax.clark import (
     fbm_vector_spec,
     run_clark_recursion,
 )
-from fbmax.fbm import fbm_covariance_matrix
-from fbmax.grid import PathGrid
+from fbmax.fbm import PathGrid, fbm_covariance_matrix
 
 # (mean1, var1, mean2, var2, cov) -> (E max, E max^2); frozen from the
 # kink-split nested quadrature oracle, which was cross-checked against an

@@ -16,7 +16,7 @@ from fbmax.bounds import borovkov_bounds, limit_integral, sudakov_lower_bound
 from fbmax.clark import clark_expected_max, fbm_vector_spec
 from fbmax.cli import default_hurst_grid, main
 from fbmax.errors import QuadratureError
-from fbmax.grid import PathGrid
+from fbmax.fbm import PathGrid
 from fbmax.montecarlo import iid_limit_samples
 
 
@@ -164,6 +164,19 @@ class TestTable1:
         assert row["clark_status"] == "skipped"
         assert row["clark_4dp"] == "" and row["clark"] == ""
         assert "mc_mean" not in row
+
+    def test_force_large_clark_lifts_the_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(fbmax.cli, "CLARK_MAX_POINTS", 2 ** 6)
+        argv = ["table1", "--method", "clark", "--h", "0.09", "--n-exp", "7"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert read_csv(out)[0]["clark_status"] == "skipped"
+        code, out = run_cli(capsys, argv + ["--force-large-clark"])
+        assert code == 0
+        row = read_csv(out)[0]
+        assert row["clark_status"] == "ok"
+        expected = clark_expected_max(fbm_vector_spec(PathGrid(n_points=128, hurst=0.09)))
+        assert float(row["clark"]) == expected
 
 
 class TestIidTables:
@@ -317,3 +330,16 @@ class TestShell:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_closed_pipe_exits_0(self):
+        # as `fbmax simulate ... | head -1`: the reader leaves after one line
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
+        argv = ["simulate", "--h", "0.3", "--n-exp", "3", "--samples", "20000"]
+        proc = subprocess.Popen([sys.executable, "-m", "fbmax.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("h,n_exp,n,replication")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -1,21 +1,41 @@
-"""Every exported name resolves, so a deleted function leaves no stale export."""
+"""Every exported name resolves and has one import path: the module defining it."""
 
 import importlib
+import inspect
 import pkgutil
+import types
 
 import pytest
 
 import fbmax
 
-MODULES = ["fbmax"] + [f"fbmax.{info.name}" for info in pkgutil.iter_modules(fbmax.__path__)]
+MODULES = [f"fbmax.{info.name}" for info in pkgutil.iter_modules(fbmax.__path__)]
 
 EXPORTS = [
     (module, name)
     for module in MODULES
     for name in getattr(importlib.import_module(module), "__all__", ())
 ]
+IDS = [f"{m}.{n}" for m, n in EXPORTS]
 
 
-@pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
+@pytest.mark.parametrize("module,name", EXPORTS, ids=IDS)
 def test_exported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("module,name", EXPORTS, ids=IDS)
+def test_exported_name_is_defined_there(module, name):
+    # a class or function exported from a module other than its own would
+    # give the name a second import path
+    obj = getattr(importlib.import_module(module), name)
+    if inspect.isclass(obj) or inspect.isfunction(obj):
+        assert obj.__module__ == module
+
+
+def test_package_exports_nothing_but_its_version():
+    names = {name for name, value in vars(fbmax).items()
+             if not name.startswith("__") and not isinstance(value, types.ModuleType)}
+    assert names == set()
+    assert not hasattr(fbmax, "__all__")
+    assert fbmax.__version__ == "0.1.0"

@@ -9,6 +9,7 @@ import fbmax.fbm as fbm
 from fbmax.errors import EmbeddingError
 from fbmax.fbm import (
     CHOLESKY_MAX_POINTS,
+    PathGrid,
     _synthesise_pairs,
     _unit_lag_autocovariance,
     build_embedding,
@@ -18,7 +19,6 @@ from fbmax.fbm import (
     fbm_covariance_matrix,
     fgn_autocovariance,
 )
-from fbmax.grid import PathGrid
 
 
 def unit_autocov_oracle(lag, hurst):

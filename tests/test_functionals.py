@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fbmax.fbm import fbm_covariance_matrix
-from fbmax.functionals import REDUCTIONS, FunctionalKind, average_second_moment
-from fbmax.grid import PathGrid
+from fbmax.fbm import PathGrid, average_second_moment, fbm_covariance_matrix
+from fbmax.montecarlo import REDUCTIONS, FunctionalKind
 
 MAX = REDUCTIONS[FunctionalKind.MAX]
 AVERAGE = REDUCTIONS[FunctionalKind.AVERAGE]

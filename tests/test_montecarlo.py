@@ -5,17 +5,17 @@ import pytest
 
 import fbmax.montecarlo
 from fbmax.bounds import limit_integral
-from fbmax.functionals import FunctionalKind
-from fbmax.grid import PathGrid
+from fbmax.fbm import PathGrid
 from fbmax.montecarlo import (
     ExperimentConfig,
+    FunctionalKind,
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
+    replication_rng,
     run_iid_limit_experiment,
     summarize,
 )
-from fbmax.rng import replication_rng
 
 
 class TestReplicationRng:
@@ -127,6 +127,18 @@ class TestFbmExperiment:
         se = math.sqrt(m.variance / m.count)
         assert abs(m.mean) < 5.0 * se
         assert m.variance == pytest.approx(1.0, rel=0.3)
+
+    @pytest.mark.parametrize("exponent, exact", [(6, 0.72194), (10, 0.77948)])
+    def test_max_matches_spitzer_at_half(self, exponent, exact):
+        # H = 1/2 is a Gaussian random walk; Spitzer's identity gives the exact
+        # grid value E max_{1<=i<=N} B(i/N) = (2 pi N)^{-1/2} sum_{k<N} k^{-1/2}
+        n = 2 ** exponent
+        spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
+        assert spitzer == pytest.approx(exact, abs=5e-6)
+        cfg = ExperimentConfig(grid=PathGrid(n_points=n, hurst=0.5), sample_size=4000,
+                               master_seed=9, functionals=frozenset({FunctionalKind.MAX}))
+        m = summarize(fbm_functional_samples(cfg)[FunctionalKind.MAX])
+        assert abs(m.mean - spitzer) < 4.0 * math.sqrt(m.variance / m.count)
 
     def test_requested_functionals_only(self):
         cfg = ExperimentConfig(
