@@ -43,7 +43,6 @@ from .clark import CLARK_MAX_POINTS, clark_expected_max, fbm_vector_spec
 from .errors import NumericalError
 from .fbm import PathGrid, average_second_moment
 from .montecarlo import (
-    ExperimentConfig,
     FunctionalKind,
     SampleSummary,
     fbm_functional_samples,
@@ -115,10 +114,8 @@ def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
     grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
     row = _cell(hurst, exponent)
     if args.method in (None, "mc"):
-        config = ExperimentConfig(grid=grid, sample_size=args.samples,
-                                  master_seed=args.seed,
-                                  functionals=frozenset({FunctionalKind.MAX}))
-        row |= _mc_pairs(summarize(fbm_functional_samples(config)[FunctionalKind.MAX]))
+        maxima = fbm_functional_samples(grid, args.samples, args.seed)[FunctionalKind.MAX]
+        row |= _mc_pairs(summarize(maxima))
     if args.method in (None, "clark"):
         if grid.n_points > CLARK_MAX_POINTS and not args.force_large_clark:
             row |= _pair("clark", None) | {"clark_status": "skipped"}
@@ -131,7 +128,7 @@ def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
 def _iid_rows(args, hurst: None, exponent: int) -> list[dict]:
     n_points = 2 ** exponent
     sizes = TABLE2_SAMPLE_SIZES if args.samples is None else (args.samples,)
-    # nested prefixes of one replication stream serve every sample size
+    # nested prefixes of one root stream serve every sample size
     samples = iid_limit_samples(n_points, max(sizes), args.seed)
     row = _cell(None, exponent)
     for size in sizes:
@@ -150,8 +147,7 @@ def _table4_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
     grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
-    config = ExperimentConfig(grid=grid, sample_size=args.samples, master_seed=args.seed)
-    samples = fbm_functional_samples(config)
+    samples = fbm_functional_samples(grid, args.samples, args.seed)
     statistics = (
         ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
         ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
@@ -180,9 +176,8 @@ def _bounds_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 
 def _simulate_rows(args, hurst: float, exponent: int) -> list[dict]:
-    config = ExperimentConfig(grid=PathGrid(n_points=2 ** exponent, hurst=hurst),
-                              sample_size=args.samples, master_seed=args.seed)
-    samples = fbm_functional_samples(config)
+    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
+    samples = fbm_functional_samples(grid, args.samples, args.seed)
     maxima, averages = samples[FunctionalKind.MAX], samples[FunctionalKind.AVERAGE]
     return [_cell(hurst, exponent) | {"replication": rep}
             | _pair("max", float(maxima[rep])) | _pair("average", float(averages[rep]))
@@ -197,16 +192,22 @@ def _limit_rows(args, hurst: None, exponent: int) -> list[dict]:
     return [_cell(None, exponent) | _mc_pairs(stats)]
 
 
-#: name -> (row function, default H values or None without --h, default J values)
+#: name -> (row function, default H values or None without --h, default J values, help)
 _COMMANDS = {
-    "table1": (_table1_rows, TABLE_H_VALUES, range(8, 20)),
-    "table2": (_iid_rows, None, range(8, 20)),
-    "table3": (_iid_rows, None, range(20, 26)),
-    "table4": (_table4_rows, BOUNDS_H_VALUES, range(8, 20)),
-    "figures": (_figures_rows, tuple(default_hurst_grid()), range(8, 20)),
-    "bounds": (_bounds_rows, BOUNDS_H_VALUES, (20,)),
-    "simulate": (_simulate_rows, (0.5,), (10,)),
-    "limit": (_limit_rows, None, range(8, 21)),
+    "table1": (_table1_rows, TABLE_H_VALUES, range(8, 20),
+               "expected maximum of fBm: Monte Carlo and Clark, per (H, N)"),
+    "table2": (_iid_rows, None, range(8, 20),
+               "iid-limit sample means vs the limit integral, N=2^8..2^19"),
+    "table3": (_iid_rows, None, range(20, 26),
+               "iid-limit sample means vs the limit integral, N=2^20..2^25"),
+    "table4": (_table4_rows, BOUNDS_H_VALUES, range(8, 20),
+               "Sudakov lower-bound grid with the analytic maximizer rows"),
+    "figures": (_figures_rows, tuple(default_hurst_grid()), range(8, 20),
+                "plot data: average-functional moments and max vs lower bound"),
+    "bounds": (_bounds_rows, BOUNDS_H_VALUES, (20,), "full bounds report per (H, N)"),
+    "simulate": (_simulate_rows, (0.5,), (10,),
+                 "raw max/average functional samples per replication"),
+    "limit": (_limit_rows, None, range(8, 21), "the small-H limit integral per N"),
 }
 
 
@@ -216,21 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expected-maximum experiments for fractional Brownian motion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table1": "expected maximum of fBm: Monte Carlo and Clark, per (H, N)",
-        "table2": "iid-limit sample means vs the limit integral, N=2^8..2^19",
-        "table3": "iid-limit sample means vs the limit integral, N=2^20..2^25",
-        "table4": "Sudakov lower-bound grid with the analytic maximizer rows",
-        "figures": "plot data: average-functional moments and max vs lower bound",
-        "bounds": "full bounds report per (H, N)",
-        "simulate": "raw max/average functional samples per replication",
-        "limit": "the small-H limit integral per N",
-    }
     cmds = {}
-    for name, help_text in commands.items():
+    for name, (_, default_h, _, help_text) in _COMMANDS.items():
         # no prefix matching: "--h" on a subcommand without it would mean --help
         cmd = cmds[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if _COMMANDS[name][1] is not None:
+        if default_h is not None:
             cmd.add_argument("--h", dest="h_values", type=_hurst_arg, action="append",
                              metavar="H", help="Hurst index, repeatable")
         cmd.add_argument("--n-exp", dest="n_exponents", type=_int_arg("--n-exp", 0, 31),
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    rows_of, default_h, default_exponents = _COMMANDS[args.command]
+    rows_of, default_h, default_exponents, _ = _COMMANDS[args.command]
     h_values = [None] if default_h is None else args.h_values or default_h
     cells = itertools.product(h_values, args.n_exponents or default_exponents)
     try:  # before the first cell, so a bad path costs no computation

@@ -1,18 +1,22 @@
 """Replication harness for the path-functional experiments.
 
-Each replication owns a dedicated child generator derived from the master
-seed, so results are bit-for-bit reproducible and independent of chunking or
-execution order. Circulant synthesis yields two independent paths per FFT;
-replications 2s and 2s+1 come from pair s.
+Two samplers, each reproducible bit for bit from its master seed. The fBm
+sampler gives every replication pair a dedicated child generator, so results
+do not depend on chunking or execution order; circulant synthesis yields two
+independent paths per FFT, and replications 2s and 2s+1 come from pair s.
+The iid-limit sampler inverts the CDF of the maximum at one uniform per
+replication, all drawn from the root stream of the seed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .fbm import PathGrid, build_embedding, _synthesise_pairs
 
@@ -20,7 +24,6 @@ __all__ = [
     "FunctionalKind",
     "REDUCTIONS",
     "replication_rng",
-    "ExperimentConfig",
     "SampleSummary",
     "summarize",
     "fbm_functional_samples",
@@ -30,7 +33,7 @@ __all__ = [
 
 #: Normal-approximation quantile for 95% confidence intervals.
 CI95_QUANTILE = 1.96
-#: Per-chunk budget of normal draws, bounding memory for long paths.
+#: Per-chunk budget of normal draws, bounding memory for many replications.
 CHUNK_DRAW_BUDGET = 2 ** 22
 
 
@@ -61,37 +64,6 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"replication index must be >= 0, got {index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.default_rng(seq)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    grid: PathGrid
-    sample_size: int
-    master_seed: int
-    functionals: frozenset[FunctionalKind] = field(
-        default_factory=lambda: frozenset(FunctionalKind)
-    )
-
-    def __post_init__(self):
-        if isinstance(self.sample_size, bool) or not isinstance(
-            self.sample_size, (int, np.integer)
-        ):
-            raise TypeError("sample_size must be an integer")
-        if self.sample_size < 2:
-            raise ValueError(f"sample_size must be >= 2, got {self.sample_size}")
-        if isinstance(self.master_seed, bool) or not isinstance(
-            self.master_seed, (int, np.integer)
-        ):
-            raise TypeError("master_seed must be an integer")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        kinds = frozenset(self.functionals)
-        if not kinds:
-            raise ValueError("at least one functional is required")
-        for kind in kinds:
-            if not isinstance(kind, FunctionalKind):
-                raise TypeError(f"unknown functional {kind!r}")
-        object.__setattr__(self, "functionals", kinds)
 
 
 @dataclass(frozen=True)
@@ -126,25 +98,29 @@ def summarize(samples: np.ndarray) -> SampleSummary:
     )
 
 
-def fbm_functional_samples(config: ExperimentConfig) -> dict[FunctionalKind, np.ndarray]:
-    """One functional sample per replication, keyed by functional kind.
+def fbm_functional_samples(
+    grid: PathGrid, sample_size: int, master_seed: int
+) -> dict[FunctionalKind, np.ndarray]:
+    """One sample of every functional per replication, keyed by functional kind.
 
     Cost is O(n N log N) overall; synthesis is chunked so peak memory stays
     near CHUNK_DRAW_BUDGET draws regardless of n.
     """
-    spectrum = build_embedding(config.grid)
-    n = config.sample_size
+    n = operator.index(sample_size)
+    if n < 2:
+        raise ValueError(f"sample_size must be >= 2, got {sample_size}")
+    spectrum = build_embedding(grid)
     n_pairs = (n + 1) // 2
     draws_per_pair = 2 * spectrum.size
     pairs_per_chunk = max(1, CHUNK_DRAW_BUDGET // draws_per_pair)
 
-    out = {kind: np.empty(n) for kind in config.functionals}
+    out = {kind: np.empty(n) for kind in FunctionalKind}
     done = 0
     for chunk_start in range(0, n_pairs, pairs_per_chunk):
         chunk = min(pairs_per_chunk, n_pairs - chunk_start)
         noise = np.empty((chunk, draws_per_pair))
         for row in range(chunk):
-            rng = replication_rng(config.master_seed, chunk_start + row)
+            rng = replication_rng(master_seed, chunk_start + row)
             noise[row] = rng.standard_normal(draws_per_pair)
         increments = _synthesise_pairs(spectrum, noise).reshape(2 * chunk, -1)
         take = min(2 * chunk, n - done)
@@ -158,25 +134,21 @@ def fbm_functional_samples(config: ExperimentConfig) -> dict[FunctionalKind, np.
 def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.ndarray:
     """Samples of (1/sqrt 2) max(0, max of N iid standard normals).
 
-    This is the H -> 0 limit law of the scaled maximum functional. Each
-    replication streams its N draws in blocks, so N is bounded only by time.
+    This is the H -> 0 limit law of the scaled maximum functional. The
+    maximum M of N iid normals has CDF Phi^N, so M = -ndtri(1 - u^(1/N)) for
+    a uniform u, with 1 - u^(1/N) formed by expm1 to keep its digits at large
+    N. The cost is O(1) per replication whatever N is. Replication k uses the
+    k-th uniform of the root stream of ``master_seed``, so a smaller sample is
+    a prefix of a larger one.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     if sample_size < 2:
         raise ValueError(f"sample_size must be >= 2, got {sample_size}")
-    scale = 1.0 / math.sqrt(2.0)
-    out = np.empty(sample_size)
-    for rep in range(sample_size):
-        rng = replication_rng(master_seed, rep)
-        best = 0.0
-        remaining = n_points
-        while remaining > 0:
-            block = min(remaining, CHUNK_DRAW_BUDGET)
-            best = max(best, float(rng.standard_normal(block).max()))
-            remaining -= block
-        out[rep] = scale * best
-    return out
+    u = np.random.default_rng(master_seed).random(sample_size)
+    with np.errstate(divide="ignore"):  # u = 0 gives M = -inf, clipped to 0
+        best = -ndtri(-np.expm1(np.log(u) / n_points))
+    return np.maximum(best, 0.0) / math.sqrt(2.0)
 
 
 def run_iid_limit_experiment(

@@ -40,17 +40,12 @@ from fbmax.fbm import (
     cholesky_oracle_paths,
     fbm_covariance_matrix,
 )
-from fbmax.montecarlo import ExperimentConfig, FunctionalKind, fbm_functional_samples
+from fbmax.montecarlo import FunctionalKind, fbm_functional_samples
 
 
 def _max_samples(n_points, hurst, sample_size, seed):
-    config = ExperimentConfig(
-        grid=PathGrid(n_points=n_points, hurst=hurst),
-        sample_size=sample_size,
-        master_seed=seed,
-        functionals=frozenset({FunctionalKind.MAX}),
-    )
-    return fbm_functional_samples(config)[FunctionalKind.MAX]
+    grid = PathGrid(n_points=n_points, hurst=hurst)
+    return fbm_functional_samples(grid, sample_size, seed)[FunctionalKind.MAX]
 
 
 def _circulant_paths(grid, n_paths, rng):
@@ -241,11 +236,7 @@ def test_criterion_08_clark_recursion():
 
 def test_criterion_09_average_functional():
     grid = PathGrid(n_points=2 ** 12, hurst=0.01)
-    config = ExperimentConfig(
-        grid=grid, sample_size=1000, master_seed=303,
-        functionals=frozenset({FunctionalKind.AVERAGE}),
-    )
-    samples = fbm_functional_samples(config)[FunctionalKind.AVERAGE]
+    samples = fbm_functional_samples(grid, 1000, 303)[FunctionalKind.AVERAGE]
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     z_mean = samples.mean() / se
     squares = samples ** 2

@@ -16,6 +16,7 @@ from fbmax.bounds import (
     sudakov_maximizer,
 )
 from fbmax.errors import QuadratureError
+from fbmax.montecarlo import iid_limit_samples, summarize
 
 C1 = 1.0 / (2.0 * math.sqrt(math.pi * math.e * math.log(2.0)))
 
@@ -194,9 +195,12 @@ class TestLimitIntegral:
         finally:
             mod.limit_integral.cache_clear()
 
-    @pytest.mark.slow
     def test_extreme_grid(self):
         assert limit_integral(2 ** 31) == pytest.approx(4.390, abs=2e-3)
+        # the exact iid-limit sampler reaches the same grid at O(1) per sample
+        stats = summarize(iid_limit_samples(2 ** 31, 200_000, 9))
+        se = math.sqrt(stats.variance / stats.count)
+        assert abs(stats.mean - limit_integral(2 ** 31)) < 4.0 * se
 
 
 class TestLimitRate:

@@ -228,6 +228,20 @@ class TestRecursion:
         value = clark_expected_max(fbm_vector_spec(PathGrid(n_points=n, hurst=h)))
         assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_error_against_exact_random_walk_maximum(self):
+        # H = 1/2 is a Gaussian random walk, whose grid maximum is exact by
+        # Spitzer's identity: E max_{1<=i<=N} B(i/N) = (2 pi N)^{-1/2} sum_{k<N} k^{-1/2}.
+        # Clark's Gaussian approximation overshoots it, more so as N grows.
+        errors = []
+        for exponent, expected in [(6, 8.72), (8, 11.19), (10, 13.23), (12, 14.92)]:
+            n = 2 ** exponent
+            spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
+            result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=n, hurst=0.5)))
+            errors.append(100.0 * (result.expected_max / spitzer - 1.0))
+            assert errors[-1] == pytest.approx(expected, abs=0.05)
+            assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
+        assert all(a < b for a, b in zip(errors, errors[1:]))
+
     def test_fbm_spec_matches_covariance_matrix(self):
         g = PathGrid(n_points=16, hurst=0.3)
         spec = fbm_vector_spec(g)

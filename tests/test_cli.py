@@ -314,6 +314,10 @@ class TestProgressLines:
 class TestShell:
     SRC = Path(__file__).resolve().parents[1] / "src"
 
+    def env(self):
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -324,19 +328,24 @@ class TestShell:
     )
     def test_exit_code_seen_by_the_shell(self, tmp_path, argv, expected):
         argv = [arg.format(missing=tmp_path / "missing" / "x.csv") for arg in argv]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "fbmax.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "fbmax.cli", *argv], env=self.env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_table3_default_grid_finishes(self):
+        # N = 2^20..2^25 at 1000 replications each, well inside the timeout
+        proc = subprocess.run([sys.executable, "-m", "fbmax.cli", "table3"], env=self.env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [int(row["n_exp"]) for row in rows] == list(range(20, 26))
+        assert rows[0]["integral_4dp"] == "3.4452"
+
     def test_closed_pipe_exits_0(self):
         # as `fbmax simulate ... | head -1`: the reader leaves after one line
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
         argv = ["simulate", "--h", "0.3", "--n-exp", "3", "--samples", "20000"]
-        proc = subprocess.Popen([sys.executable, "-m", "fbmax.cli", *argv], env=env,
+        proc = subprocess.Popen([sys.executable, "-m", "fbmax.cli", *argv], env=self.env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         assert proc.stdout.readline().startswith("h,n_exp,n,replication")
         proc.stdout.close()

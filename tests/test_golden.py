@@ -4,6 +4,10 @@ Each file in ``tests/golden/`` is the stdout of one ``fbmax`` command, written
 by the code before the sampler, functional and Clark refactor, with numpy 2.4.6
 and scipy 1.17.1. A change that only restructures code must reproduce every
 byte; a change that alters an estimator regenerates the file and says why.
+``table2.csv`` and ``limit_mc.csv`` were regenerated when the iid-limit sampler
+changed from drawing all N normals per replication to inverting the CDF Phi^N
+of their maximum at one uniform: the same law, other draws. Their ``integral``
+columns did not change.
 
 Regenerate one file with, for example::
 

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 import fbmax.montecarlo
 from fbmax.bounds import limit_integral
 from fbmax.fbm import PathGrid
 from fbmax.montecarlo import (
-    ExperimentConfig,
     FunctionalKind,
     SampleSummary,
     fbm_functional_samples,
@@ -74,53 +75,45 @@ class TestSummarize:
 
 
 class TestExperimentConfig:
-    def test_defaults_request_both_functionals(self):
-        cfg = ExperimentConfig(grid=PathGrid(n_points=4, hurst=0.5), sample_size=2, master_seed=0)
-        assert cfg.functionals == frozenset(FunctionalKind)
+    """Argument checks of the fBm sampler."""
 
     def test_validation(self):
         grid = PathGrid(n_points=4, hurst=0.5)
         with pytest.raises(ValueError):
-            ExperimentConfig(grid=grid, sample_size=1, master_seed=0)
+            fbm_functional_samples(grid, 1, 0)
         with pytest.raises(ValueError):
-            ExperimentConfig(grid=grid, sample_size=2, master_seed=-1)
+            fbm_functional_samples(grid, 2, -1)
         with pytest.raises(TypeError):
-            ExperimentConfig(grid=grid, sample_size=2.5, master_seed=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(grid=grid, sample_size=2, master_seed=0, functionals=frozenset())
-        with pytest.raises(TypeError):
-            ExperimentConfig(grid=grid, sample_size=2, master_seed=0, functionals={"max"})
+            fbm_functional_samples(grid, 2.5, 0)
 
 
 class TestFbmExperiment:
     def test_deterministic_rerun(self):
-        cfg = ExperimentConfig(grid=PathGrid(n_points=16, hurst=0.2), sample_size=9, master_seed=5)
-        first, second = fbm_functional_samples(cfg), fbm_functional_samples(cfg)
+        grid = PathGrid(n_points=16, hurst=0.2)
+        first, second = fbm_functional_samples(grid, 9, 5), fbm_functional_samples(grid, 9, 5)
         for kind in FunctionalKind:
             np.testing.assert_array_equal(first[kind], second[kind])
 
     def test_chunking_does_not_change_samples(self, monkeypatch):
-        cfg = ExperimentConfig(grid=PathGrid(n_points=32, hurst=0.3), sample_size=11, master_seed=7)
-        base = fbm_functional_samples(cfg)
+        grid = PathGrid(n_points=32, hurst=0.3)
+        base = fbm_functional_samples(grid, 11, 7)
         monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 1)
-        small = fbm_functional_samples(cfg)
+        small = fbm_functional_samples(grid, 11, 7)
         for kind in base:
             np.testing.assert_array_equal(base[kind], small[kind])
 
     def test_odd_sample_size(self):
-        cfg = ExperimentConfig(grid=PathGrid(n_points=8, hurst=0.5), sample_size=5, master_seed=1)
-        samples = fbm_functional_samples(cfg)
+        samples = fbm_functional_samples(PathGrid(n_points=8, hurst=0.5), 5, 1)
+        assert set(samples) == set(FunctionalKind)
         assert all(v.shape == (5,) for v in samples.values())
 
     def test_max_dominates_average_per_path(self):
-        cfg = ExperimentConfig(grid=PathGrid(n_points=64, hurst=0.1), sample_size=20, master_seed=2)
-        samples = fbm_functional_samples(cfg)
+        samples = fbm_functional_samples(PathGrid(n_points=64, hurst=0.1), 20, 2)
         assert np.all(samples[FunctionalKind.MAX] >= samples[FunctionalKind.AVERAGE])
 
     def test_single_point_grid_is_standard_normal(self):
         # one grid point: the path is B(1) ~ N(0, 1) and max == average
-        cfg = ExperimentConfig(grid=PathGrid(n_points=1, hurst=0.5), sample_size=400, master_seed=11)
-        samples = fbm_functional_samples(cfg)
+        samples = fbm_functional_samples(PathGrid(n_points=1, hurst=0.5), 400, 11)
         np.testing.assert_array_equal(samples[FunctionalKind.MAX],
                                       samples[FunctionalKind.AVERAGE])
         m = summarize(samples[FunctionalKind.MAX])
@@ -135,19 +128,17 @@ class TestFbmExperiment:
         n = 2 ** exponent
         spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
         assert spitzer == pytest.approx(exact, abs=5e-6)
-        cfg = ExperimentConfig(grid=PathGrid(n_points=n, hurst=0.5), sample_size=4000,
-                               master_seed=9, functionals=frozenset({FunctionalKind.MAX}))
-        m = summarize(fbm_functional_samples(cfg)[FunctionalKind.MAX])
+        grid = PathGrid(n_points=n, hurst=0.5)
+        m = summarize(fbm_functional_samples(grid, 4000, 9)[FunctionalKind.MAX])
         assert abs(m.mean - spitzer) < 4.0 * math.sqrt(m.variance / m.count)
 
-    def test_requested_functionals_only(self):
-        cfg = ExperimentConfig(
-            grid=PathGrid(n_points=8, hurst=0.5),
-            sample_size=3,
-            master_seed=0,
-            functionals=frozenset({FunctionalKind.MAX}),
-        )
-        assert set(fbm_functional_samples(cfg)) == {FunctionalKind.MAX}
+
+def _brute_force_iid_limit(n_points, sample_size, seed, rows=500):
+    """(1/sqrt 2) max(0, max of N iid normals), drawing all N normals per sample."""
+    rng = np.random.default_rng(seed)
+    maxima = [rng.standard_normal((min(rows, sample_size - start), n_points)).max(axis=1)
+              for start in range(0, sample_size, rows)]
+    return np.maximum(np.concatenate(maxima), 0.0) / math.sqrt(2.0)
 
 
 class TestIidLimitExperiment:
@@ -157,10 +148,37 @@ class TestIidLimitExperiment:
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= 0.0)
 
-    def test_streaming_does_not_change_samples(self, monkeypatch):
-        base = iid_limit_samples(10, 5, 3)
-        monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 3)
-        np.testing.assert_array_equal(base, iid_limit_samples(10, 5, 3))
+    def test_smaller_sample_is_prefix(self):
+        np.testing.assert_array_equal(iid_limit_samples(2 ** 20, 5, 3),
+                                      iid_limit_samples(2 ** 20, 9, 3)[:5])
+
+    @pytest.mark.parametrize("exponent, seed", [(8, 31), (12, 32)])
+    def test_matches_brute_force_maximum(self, exponent, seed):
+        exact = summarize(iid_limit_samples(2 ** exponent, 4000, seed))
+        brute = summarize(_brute_force_iid_limit(2 ** exponent, 4000, seed + 100))
+        se = math.sqrt(exact.variance / exact.count + brute.variance / brute.count)
+        assert abs(exact.mean - brute.mean) < 4.0 * se
+
+    @pytest.mark.parametrize("n_points", [1, 2 ** 8, 2 ** 31])
+    def test_inverts_the_cdf_of_the_maximum(self, n_points):
+        # P(max of N normals <= m) = Phi(m)^N, and each sample is m / sqrt 2
+        samples = iid_limit_samples(n_points, 500, 6)
+        log_u = np.log(np.random.default_rng(6).random(500))
+        positive = samples > 0.0
+        assert positive.any()
+        np.testing.assert_allclose(n_points * log_ndtr(math.sqrt(2.0) * samples[positive]),
+                                   log_u[positive], rtol=1e-12)
+
+    def test_zero_uniform_maps_to_zero_silently(self, monkeypatch):
+        class Uniforms:
+            def random(self, size):
+                return np.array([0.0, 0.5, 0.0])[:size]
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Uniforms())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = iid_limit_samples(2 ** 10, 3, 0)
+        assert samples[0] == samples[2] == 0.0 and samples[1] > 0.0
 
     def test_single_draw_mean(self):
         # E max(0, xi)/sqrt(2) = 1/(2 sqrt(pi))
