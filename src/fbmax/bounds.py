@@ -22,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from .errors import QuadratureError
-from .special import inverse_erfc
 
 __all__ = [
     "BorovkovBounds",
@@ -36,6 +35,7 @@ __all__ = [
     "delta_upper_bound",
     "sudakov_lower_bound",
     "sudakov_maximizer",
+    "inverse_erfc",
     "limit_integral",
     "limit_integral_quantile_form",
     "limit_integral_tail_form",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _TWO_PI_LN2 = 2.0 * math.pi * math.log(2.0)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 #: Tolerance of the limit integral; the two quadrature routes must agree to this.
 INTEGRAL_ABS_TOL = 1e-5
 
@@ -137,6 +138,33 @@ def sudakov_maximizer(hurst: float) -> SudakovMaximizer:
         return SudakovMaximizer(n_star=None, value=value)
     n_star = max(1, math.floor(math.exp(exponent)))
     return SudakovMaximizer(n_star=n_star, value=sudakov_lower_bound(n_star, hurst))
+
+
+def inverse_erfc(q: float) -> float:
+    """Inverse of the complementary error function on (0, 2).
+
+    Accurate to a relative error far below 1e-12 over the whole domain,
+    including q close to 0 where the result grows like sqrt(-log q). A
+    rational estimate (Hastings-type, absolute error ~4.5e-4) is polished by
+    Newton steps on erfc; two to three steps reach near machine precision.
+    """
+    if not 0.0 < q < 2.0:
+        raise ValueError(f"inverse_erfc requires 0 < q < 2, got {q!r}")
+    if q == 1.0:
+        return 0.0
+    if q > 1.0:
+        return -inverse_erfc(2.0 - q)
+    log_q = math.log(q)
+    t = math.sqrt(-2.0 * (log_q - math.log(2.0)))
+    x = -0.70711 * ((2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t)
+    for _ in range(4):
+        # Newton on erfc(x) - q, written with the scaled complement erfcx so
+        # the exp(x^2) factors never overflow: erfc(x) = erfcx(x) exp(-x^2).
+        step = _HALF_SQRT_PI * (float(erfcx(x)) - math.exp(x * x + log_q))
+        x += step
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+            break
+    return x
 
 
 def limit_integral_quantile_form(n_points: int) -> float:

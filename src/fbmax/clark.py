@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .fbm import PathGrid
-from .special import norm_cdf, norm_pdf
 
 __all__ = [
     "CLARK_MAX_POINTS",
@@ -28,7 +27,9 @@ __all__ = [
     "ClarkDiagnostics",
     "ClarkResult",
     "fbm_vector_spec",
-    "clark_pair_moments",
+    "norm_cdf",
+    "norm_pdf",
+    "pair_moments",
     "clark_correlation_update",
     "run_clark_recursion",
     "clark_expected_max",
@@ -36,6 +37,21 @@ __all__ = [
 
 #: Default refusal threshold for the O(N^2) recursion.
 CLARK_MAX_POINTS = 2 ** 17
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF; full relative accuracy down to the underflow
+    threshold near x = -37. Use norm_cdf(-x) for the complementary form."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def norm_pdf(x: float) -> float:
+    """Standard normal density."""
+    # exp underflows cleanly to 0 for |x| ~ 40, including x = +-inf
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -97,8 +113,15 @@ class ClarkResult:
     diagnostics: ClarkDiagnostics
 
 
-def _pair_terms(mean1, var1, mean2, var2, cov):
-    """Shared core: (mean, second moment, alpha)."""
+def pair_moments(mean1, var1, mean2, var2, cov):
+    """Exact (E max, E max^2, alpha) of a bivariate Gaussian pair.
+
+    With a^2 = var1 + var2 - 2 cov and alpha = (mean1 - mean2)/a:
+
+        E max   = Phi(alpha) mean1 + Phi(-alpha) mean2 + a phi(alpha)
+        E max^2 = Phi(alpha) E xi^2 + Phi(-alpha) E eta^2
+                  + a phi(alpha) (mean1 + mean2)
+    """
     a_sq = var1 + var2 - 2.0 * cov
     if a_sq > 0.0:
         a = math.sqrt(a_sq)
@@ -115,34 +138,14 @@ def _pair_terms(mean1, var1, mean2, var2, cov):
     return mean, second, alpha
 
 
-def clark_pair_moments(
-    mean1: float, var1: float, mean2: float, var2: float, cov: float
-) -> tuple[float, float]:
-    """Exact (E max, E max^2) of a bivariate Gaussian pair.
-
-    With a^2 = var1 + var2 - 2 cov and alpha = (mean1 - mean2)/a:
-
-        E max   = Phi(alpha) mean1 + Phi(-alpha) mean2 + a phi(alpha)
-        E max^2 = Phi(alpha) E xi^2 + Phi(-alpha) E eta^2
-                  + a phi(alpha) (mean1 + mean2)
-    """
-    if var1 < 0.0 or var2 < 0.0:
-        raise ValueError(f"variances must be nonnegative, got {var1!r}, {var2!r}")
-    bound = math.sqrt(var1 * var2)
-    if abs(cov) > bound * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"|cov|={abs(cov)!r} exceeds sqrt(var1*var2)={bound!r}")
-    mean, second, _ = _pair_terms(mean1, var1, mean2, var2, cov)
-    return mean, second
-
-
 def clark_correlation_update(
     var1: float,
     corr_tau_1: np.ndarray,
     var2: float,
     corr_tau_2: np.ndarray,
     alpha: float,
-    pair_moments: tuple[float, float],
-    diagnostics: ClarkDiagnostics | None = None,
+    max_moments: tuple[float, float],
+    diagnostics: ClarkDiagnostics,
 ) -> np.ndarray:
     """Correlations of third variables tau with max{xi, eta}, elementwise.
 
@@ -150,22 +153,21 @@ def clark_correlation_update(
                           + sqrt(var2) Corr(tau,eta) Phi(-alpha)] / sd(max)
 
     ``corr_tau_1`` and ``corr_tau_2`` hold Corr(tau, xi) and Corr(tau, eta)
-    for each tau. Returns zeros when the max has no variance; out-of-range
-    results are clamped to [-1, 1]. Both events are tallied in
-    ``diagnostics`` when provided, a clamp once per entry.
+    for each tau, and ``max_moments`` the (E max, E max^2) of the pair.
+    Returns zeros when the max has no variance; out-of-range results are
+    clamped to [-1, 1]. Both events are tallied in ``diagnostics``, a clamp
+    once per entry.
     """
-    mean, second = pair_moments
+    mean, second = max_moments
     var_max = second - mean * mean
     if var_max <= 0.0:
-        if diagnostics is not None:
-            diagnostics.degenerate_events += 1
+        diagnostics.degenerate_events += 1
         return np.zeros_like(corr_tau_1)
     raw = (
         math.sqrt(var1) * corr_tau_1 * norm_cdf(alpha)
         + math.sqrt(var2) * corr_tau_2 * norm_cdf(-alpha)
     ) / math.sqrt(var_max)
-    if diagnostics is not None:
-        diagnostics.clamp_events += int(np.count_nonzero(np.abs(raw) > 1.0))
+    diagnostics.clamp_events += int(np.count_nonzero(np.abs(raw) > 1.0))
     return np.clip(raw, -1.0, 1.0)
 
 
@@ -202,7 +204,7 @@ def run_clark_recursion(
         var_m = max(second_m - mean_m * mean_m, 0.0)
         rho = float(corr[0])
         cov_mk = rho * math.sqrt(var_m * variances[k])
-        mean, second, alpha = _pair_terms(
+        mean, second, alpha = pair_moments(
             mean_m, var_m, float(means[k]), float(variances[k]), cov_mk
         )
         if k < n - 1:

@@ -9,9 +9,5 @@ class EmbeddingError(NumericalError):
     """Circulant embedding produced an eigenvalue too negative to clip."""
 
 
-class OracleError(NumericalError):
-    """A reference (oracle) computation broke down, e.g. a failed factorization."""
-
-
 class QuadratureError(NumericalError):
     """Numerical integration did not converge or failed a cross-check."""

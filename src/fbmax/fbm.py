@@ -8,9 +8,8 @@ applying one more FFT yields, in the real and imaginary parts, two independent
 increment vectors with exactly the target law. Cumulative sums turn increments
 into path values B(1/N), ..., B(N/N).
 
-A dense Cholesky sampler over the path covariance matrix is included as a
-slow, independent oracle for cross-validating the FFT sampler, and the
-closed-form second moment of the path average as an exact one.
+The closed-form second moment of the path average is included as an exact
+probe of the sampler.
 """
 
 from __future__ import annotations
@@ -20,23 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError, OracleError
+from .errors import EmbeddingError
 
 __all__ = [
     "PathGrid",
     "CirculantSpectrum",
     "fgn_autocovariance",
-    "fbm_covariance_matrix",
     "average_second_moment",
     "circulant_eigenvalues",
     "build_embedding",
-    "cholesky_factor",
-    "cholesky_oracle_paths",
 ]
-
-#: Dense-oracle size cap; beyond this the O(N^3) factorization is not a
-#: reasonable cross-check tool.
-CHOLESKY_MAX_POINTS = 1024
 
 #: Relative clip window for slightly negative embedding eigenvalues.
 EIGENVALUE_CLIP_RTOL = 1e-9
@@ -64,11 +56,6 @@ class PathGrid:
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst!r}")
 
-    @property
-    def times(self) -> np.ndarray:
-        """Grid times (1/N, 2/N, ..., 1) as a float vector."""
-        return np.arange(1, self.n_points + 1) / self.n_points
-
 
 @dataclass(frozen=True)
 class CirculantSpectrum:
@@ -86,13 +73,14 @@ class CirculantSpectrum:
     min_raw_eigenvalue: float = 0.0
 
 
-def _unit_lag_autocovariance(lags: np.ndarray, hurst: float) -> np.ndarray:
+def fgn_autocovariance(lags: np.ndarray, hurst: float) -> np.ndarray:
     """Autocovariance of unit-spacing fGn at integer lags >= 0.
 
     rho(j) = 0.5 (|j-1|^{2H} - 2 j^{2H} + (j+1)^{2H}). The direct second
     difference cancels catastrophically for small H at large j, so lags >= 2
     use the equivalent expm1/log1p form, which keeps absolute errors near the
-    underlying function values' rounding error.
+    underlying function values' rounding error. On the grid {i/N} the
+    increments' covariance is this scaled by N^(-2H).
     """
     lags = np.asarray(lags, dtype=np.int64)
     two_h = 2.0 * hurst
@@ -110,53 +98,12 @@ def _unit_lag_autocovariance(lags: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
-def fgn_autocovariance(lag, grid: PathGrid):
-    """Covariance of grid increments at the given lag(s).
-
-    Parameters
-    ----------
-    lag : int or array of int
-        Lag(s) j with 0 <= j <= N-1.
-    grid : PathGrid
-
-    Returns
-    -------
-    float or ndarray
-        Cov(B(t_{i+1}) - B(t_i), B(t_{i+j+1}) - B(t_{i+j})), which equals the
-        unit-spacing fGn autocovariance scaled by N**(-2H).
-    """
-    arr = np.asarray(lag)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"lag must be integer, got dtype {arr.dtype}")
-    if np.any(arr < 0) or np.any(arr > grid.n_points - 1):
-        raise ValueError(
-            f"lag must lie in [0, {grid.n_points - 1}] for this grid, got {lag!r}"
-        )
-    scale = float(grid.n_points) ** (-2.0 * grid.hurst)
-    values = scale * _unit_lag_autocovariance(arr, grid.hurst)
-    if np.isscalar(lag) or arr.ndim == 0:
-        return float(values)
-    return values
-
-
-def fbm_covariance_matrix(grid: PathGrid) -> np.ndarray:
-    """Dense covariance matrix G[i, j] = Cov(B(t_i), B(t_j)) of path values.
-
-    G[i, j] = 0.5 (t_i^{2H} + t_j^{2H} - |t_i - t_j|^{2H}); symmetric,
-    positive semidefinite, diagonal t_i^{2H}.
-    """
-    t = grid.times
-    two_h = 2.0 * grid.hurst
-    pow_t = t ** two_h
-    return 0.5 * (pow_t[:, None] + pow_t[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
-
-
 def average_second_moment(grid: PathGrid) -> float:
     """E[(average of the path values)^2] in closed form.
 
     The average is Gaussian with mean zero and this second moment, which
-    makes it a sharp correctness probe for any sampler. Summing
-    fbm_covariance_matrix over both indices collapses, for the uniform grid,
+    makes it a sharp correctness probe for any sampler. Summing the path
+    covariance matrix over both indices collapses, for the uniform grid,
     to N^{-(2H+2)} sum_{i=1..N} i^{2H+1}. The sum is accumulated with
     math.fsum so the relative error stays far below 1e-12 even for N around
     2**20.
@@ -192,7 +139,7 @@ def build_embedding(grid: PathGrid) -> CirculantSpectrum:
     half = m // 2
     lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
     scale = float(n) ** (-2.0 * grid.hurst)
-    row = scale * _unit_lag_autocovariance(lags, grid.hurst)
+    row = scale * fgn_autocovariance(lags, grid.hurst)
     eig = circulant_eigenvalues(row)
     min_raw = float(eig.min())
     clip_tol = EIGENVALUE_CLIP_RTOL * float(eig.max())
@@ -234,32 +181,3 @@ def _synthesise_pairs(spectrum: CirculantSpectrum, noise: np.ndarray) -> np.ndar
     out[:, 0, :] = transformed.real
     out[:, 1, :] = transformed.imag
     return out
-
-
-# ---------------------------------------------------------------------------
-# dense Cholesky oracle
-# ---------------------------------------------------------------------------
-
-
-def cholesky_factor(grid: PathGrid) -> np.ndarray:
-    """Lower Cholesky factor of the path covariance matrix (N <= 1024)."""
-    if grid.n_points > CHOLESKY_MAX_POINTS:
-        raise ValueError(
-            f"Cholesky oracle supports N <= {CHOLESKY_MAX_POINTS}, got {grid.n_points}"
-        )
-    cov = fbm_covariance_matrix(grid)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(
-            f"covariance factorization failed for N={grid.n_points}, H={grid.hurst}: {exc}"
-        ) from exc
-
-
-def cholesky_oracle_paths(
-    grid: PathGrid, n_paths: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample path values (n_paths, N) through the dense factor."""
-    factor = cholesky_factor(grid)
-    z = rng.standard_normal((n_paths, grid.n_points))
-    return z @ factor.T

@@ -1,4 +1,6 @@
-"""Shared test helpers: bivariate-max quadrature oracle and acceptance reporting."""
+"""Shared test helpers: the oracles that share no code with the package (dense
+fBm covariance and Cholesky sampler, bivariate-max quadrature) and
+acceptance reporting."""
 
 import math
 
@@ -24,6 +26,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def fbm_covariance_matrix(grid):
+    """Dense covariance G[i, j] = Cov(B(t_i), B(t_j)) of the path values, t_i = i/N.
+
+    G[i, j] = 0.5 (t_i^{2H} + t_j^{2H} - |t_i - t_j|^{2H}); symmetric,
+    positive semidefinite, diagonal t_i^{2H}.
+    """
+    t = np.arange(1, grid.n_points + 1) / grid.n_points
+    two_h = 2.0 * grid.hurst
+    pow_t = t ** two_h
+    return 0.5 * (pow_t[:, None] + pow_t[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
+
+
+def cholesky_oracle_paths(grid, n_paths, rng):
+    """Path values (n_paths, N) drawn through the dense Cholesky factor."""
+    factor = np.linalg.cholesky(fbm_covariance_matrix(grid))
+    return rng.standard_normal((n_paths, grid.n_points)) @ factor.T
 
 
 def _phi(z: float) -> float:

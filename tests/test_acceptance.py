@@ -22,7 +22,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import draw_pair_cases, pair_max_moments_oracle, record_criterion
+from conftest import (
+    cholesky_oracle_paths,
+    draw_pair_cases,
+    fbm_covariance_matrix,
+    pair_max_moments_oracle,
+    record_criterion,
+)
 from fbmax.bounds import (
     borovkov_bounds,
     delta_upper_bound,
@@ -31,15 +37,8 @@ from fbmax.bounds import (
     limit_integral_tail_form,
     sudakov_lower_bound,
 )
-from fbmax.clark import clark_expected_max, clark_pair_moments, fbm_vector_spec
-from fbmax.fbm import (
-    PathGrid,
-    _synthesise_pairs,
-    average_second_moment,
-    build_embedding,
-    cholesky_oracle_paths,
-    fbm_covariance_matrix,
-)
+from fbmax.clark import clark_expected_max, fbm_vector_spec, pair_moments
+from fbmax.fbm import PathGrid, _synthesise_pairs, average_second_moment, build_embedding
 from fbmax.montecarlo import FunctionalKind, fbm_functional_samples
 
 
@@ -202,7 +201,7 @@ def test_criterion_07_monte_carlo_cells():
 def test_criterion_08_clark_recursion():
     worst = 0.0
     for mean1, var1, mean2, var2, cov in draw_pair_cases(20):
-        got = clark_pair_moments(mean1, var1, mean2, var2, cov)
+        got = pair_moments(mean1, var1, mean2, var2, cov)
         ref = pair_max_moments_oracle(mean1, var1, mean2, var2, cov)
         worst = max(worst, abs(got[0] - ref[0]), abs(got[1] - ref[1]))
     pair_ok = worst <= 1e-6

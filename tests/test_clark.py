@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_pair_cases, pair_max_moments_oracle
+from conftest import draw_pair_cases, fbm_covariance_matrix, pair_max_moments_oracle
 from fbmax.clark import (
     CLARK_MAX_POINTS,
     ClarkDiagnostics,
     GaussianVectorSpec,
     clark_correlation_update,
     clark_expected_max,
-    clark_pair_moments,
     fbm_vector_spec,
+    pair_moments,
     run_clark_recursion,
 )
-from fbmax.fbm import PathGrid, fbm_covariance_matrix
+from fbmax.fbm import PathGrid
 
 # (mean1, var1, mean2, var2, cov) -> (E max, E max^2); frozen from the
 # kink-split nested quadrature oracle, which was cross-checked against an
@@ -81,43 +81,39 @@ class TestPairMoments:
     @pytest.mark.parametrize("case", PAIR_ORACLE_CASES)
     def test_frozen_oracle_values(self, case):
         m1, v1, m2, v2, cov, first, second = case
-        got1, got2 = clark_pair_moments(m1, v1, m2, v2, cov)
+        got1, got2, _ = pair_moments(m1, v1, m2, v2, cov)
         assert got1 == pytest.approx(first, abs=1e-8)
         assert got2 == pytest.approx(second, abs=1e-8)
 
     def test_live_quadrature_oracle(self):
         for m1, v1, m2, v2, cov in draw_pair_cases(3, seed=99):
-            got = clark_pair_moments(m1, v1, m2, v2, cov)
+            got = pair_moments(m1, v1, m2, v2, cov)
             ref = pair_max_moments_oracle(m1, v1, m2, v2, cov)
             assert got[0] == pytest.approx(ref[0], abs=1e-8)
             assert got[1] == pytest.approx(ref[1], abs=1e-8)
 
     def test_iid_standard_pair(self):
-        first, second = clark_pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
+        first, second, alpha = pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
         assert first == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
         assert second == pytest.approx(1.0, rel=1e-14)
+        assert alpha == 0.0
 
     def test_constants_pick_larger_mean(self):
-        assert clark_pair_moments(0.0, 0.0, 1.0, 0.0, 0.0) == (1.0, 1.0)
-        assert clark_pair_moments(2.0, 0.0, -1.0, 0.0, 0.0) == (2.0, 4.0)
+        assert pair_moments(0.0, 0.0, 1.0, 0.0, 0.0) == (1.0, 1.0, -math.inf)
+        assert pair_moments(2.0, 0.0, -1.0, 0.0, 0.0) == (2.0, 4.0, math.inf)
 
     def test_perfectly_correlated_copy(self):
-        first, second = clark_pair_moments(0.3, 2.0, 0.3, 2.0, 2.0)
+        first, second, _ = pair_moments(0.3, 2.0, 0.3, 2.0, 2.0)
         assert first == pytest.approx(0.3, rel=1e-14)
         assert second == pytest.approx(0.09 + 2.0, rel=1e-14)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            clark_pair_moments(0.0, -1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            clark_pair_moments(0.0, 1.0, 0.0, 1.0, 1.5)
 
 
 class TestCorrelationUpdate:
     def test_iid_pair_with_first_member(self):
-        pair = clark_pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
+        pair = pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)[:2]
         got = clark_correlation_update(
-            1.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]), 0.0, pair
+            1.0, np.array([1.0, 0.0]), 1.0, np.array([0.0, 1.0]), 0.0, pair,
+            ClarkDiagnostics(),
         )
         # Corr(xi, max(xi, eta)) = (1/2) / sqrt(1 - 1/pi), and by symmetry
         # the same for eta
@@ -126,7 +122,7 @@ class TestCorrelationUpdate:
 
     def test_out_of_range_is_clamped_and_tallied(self):
         diag = ClarkDiagnostics()
-        pair = clark_pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)
+        pair = pair_moments(0.0, 1.0, 0.0, 1.0, 0.0)[:2]
         got = clark_correlation_update(
             1.0, np.array([1.0, -1.0, 0.0]), 1.0, np.array([1.0, -1.0, 0.0]), 0.0, pair,
             diag,
@@ -148,7 +144,7 @@ class TestRecursion:
         g = PathGrid(n_points=2, hurst=0.3)
         cov = fbm_covariance_matrix(g)
         result = run_clark_recursion(fbm_vector_spec(g))
-        ref = clark_pair_moments(0.0, cov[0, 0], 0.0, cov[1, 1], cov[0, 1])
+        ref = pair_moments(0.0, cov[0, 0], 0.0, cov[1, 1], cov[0, 1])
         assert result.expected_max == pytest.approx(ref[0], rel=1e-14)
         assert result.second_moment == pytest.approx(ref[1], rel=1e-14)
 
@@ -168,7 +164,7 @@ class TestRecursion:
         for k in range(1, n):
             var_m = second_m - mean_m ** 2
             cov_mk = corr[0] * math.sqrt(var_m * cov[k, k])
-            pair = clark_pair_moments(mean_m, var_m, means[k], cov[k, k], cov_mk)
+            pair = pair_moments(mean_m, var_m, means[k], cov[k, k], cov_mk)[:2]
             a_val = math.sqrt(var_m + cov[k, k] - 2.0 * cov_mk)
             alpha = (mean_m - means[k]) / a_val
             sd_max = math.sqrt(pair[1] - pair[0] ** 2)
@@ -241,6 +237,29 @@ class TestRecursion:
             assert errors[-1] == pytest.approx(expected, abs=0.05)
             assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
         assert all(a < b for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("h", [1e-4, 0.0013, 0.01, 0.09, 0.25, 0.5])
+    def test_exact_at_two_points(self, h):
+        # E max(X, Y) = sd(X - Y) phi(0) for a centred pair, and
+        # sd(B(1) - B(1/2)) = (1/2)^H; Clark's single step is exact
+        result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=2, hurst=h)))
+        assert result.expected_max == pytest.approx(0.5 ** h / math.sqrt(2.0 * math.pi),
+                                                    rel=1e-15)
+        assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
+
+    @pytest.mark.parametrize(
+        "h,excess",
+        [(1e-4, 0.1610), (0.0013, 0.1607), (0.01, 0.1592), (0.09, 0.1746),
+         (0.25, 0.3674), (0.5, 1.1067)],
+    )
+    def test_excess_at_three_points(self, h, excess):
+        # a centred Gaussian triple has E max = (s12 + s13 + s23) / (2 sqrt(2 pi)),
+        # s_ij the sd of x_i - x_j, here |t_i - t_j|^H on t = 1/3, 2/3, 1.
+        # Clark overshoots it by a percentage that is not monotone in H.
+        exact = (2.0 * (1.0 / 3.0) ** h + (2.0 / 3.0) ** h) / (2.0 * math.sqrt(2.0 * math.pi))
+        result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=3, hurst=h)))
+        assert 100.0 * (result.expected_max / exact - 1.0) == pytest.approx(excess, abs=0.005)
+        assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
 
     def test_fbm_spec_matches_covariance_matrix(self):
         g = PathGrid(n_points=16, hurst=0.3)

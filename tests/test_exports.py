@@ -1,9 +1,12 @@
-"""Every exported name resolves and has one import path: the module defining it."""
+"""Every exported name resolves, has one import path (the module defining
+it), and is used by the package's own code."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,23 @@ def test_package_exports_nothing_but_its_version():
     assert names == set()
     assert not hasattr(fbmax, "__all__")
     assert fbmax.__version__ == "0.1.0"
+
+
+def _names_loaded(path):
+    """Names a module's code reads: ``Name`` loads and attribute names.
+    Imports and docstrings are neither, so they do not count."""
+    loaded = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_used_by_the_package():
+    # a name only the tests call is a parallel API, not code that runs
+    package = Path(fbmax.__file__).parent
+    used = set().union(*(_names_loaded(path) for path in package.glob("*.py")))
+    unused = [f"{m}.{n}" for m, n in EXPORTS if n not in used]
+    assert unused == []

@@ -6,17 +6,13 @@ import pytest
 from scipy.linalg import toeplitz
 
 import fbmax.fbm as fbm
+from conftest import cholesky_oracle_paths, fbm_covariance_matrix
 from fbmax.errors import EmbeddingError
 from fbmax.fbm import (
-    CHOLESKY_MAX_POINTS,
     PathGrid,
     _synthesise_pairs,
-    _unit_lag_autocovariance,
     build_embedding,
-    cholesky_factor,
-    cholesky_oracle_paths,
     circulant_eigenvalues,
-    fbm_covariance_matrix,
     fgn_autocovariance,
 )
 
@@ -28,12 +24,13 @@ def unit_autocov_oracle(lag, hurst):
         return float(0.5 * ((j - 1) ** (2 * h) - 2 * j ** (2 * h) + (j + 1) ** (2 * h)))
 
 
-class TestPathGrid:
-    def test_times_and_mesh(self):
-        g = PathGrid(n_points=4, hurst=0.3)
-        np.testing.assert_allclose(g.times, [0.25, 0.5, 0.75, 1.0])
-        assert np.diff(g.times, prepend=0.0).tolist() == [0.25] * 4
+def increment_covariance(lags, grid):
+    """Covariance of the grid increments at the given lags: the unit-spacing
+    kernel scaled by N^(-2H), as build_embedding scales it."""
+    return float(grid.n_points) ** (-2.0 * grid.hurst) * fgn_autocovariance(lags, grid.hurst)
 
+
+class TestPathGrid:
     @pytest.mark.parametrize("n,h", [(0, 0.5), (-3, 0.5), (8, 0.0), (8, 1.0), (8, -0.1)])
     def test_rejects_bad_arguments(self, n, h):
         with pytest.raises((ValueError, TypeError)):
@@ -48,34 +45,34 @@ class TestAutocovariance:
     def test_lag_zero_is_increment_variance(self):
         for n, h in [(2, 0.1), (256, 0.0001), (1000, 0.9)]:
             g = PathGrid(n_points=n, hurst=h)
-            assert fgn_autocovariance(0, g) == pytest.approx(float(n) ** (-2 * h), rel=1e-14)
+            variance = increment_covariance([0], g)[0]
+            assert variance == pytest.approx(float(n) ** (-2 * h), rel=1e-14)
 
     def test_lag_one_half_hurst_two_points(self):
         # H=1, N=2: Cov of the two halves of a straight-line process is 1/4
         g = PathGrid(n_points=2, hurst=0.999999999999)
-        assert fgn_autocovariance(1, g) == pytest.approx(0.25, rel=1e-9)
+        assert increment_covariance([1], g)[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_brownian_increments_uncorrelated(self):
-        g = PathGrid(n_points=64, hurst=0.5)
-        values = fgn_autocovariance(np.arange(1, 64), g)
+        values = fgn_autocovariance(np.arange(1, 64), 0.5)
         np.testing.assert_array_equal(values, np.zeros(63))
 
     @pytest.mark.parametrize("h", [0.0001, 0.0013, 0.09, 0.3, 0.77, 0.9])
     @pytest.mark.parametrize("j", [2, 3, 5, 17, 100, 1000, 10000])
     def test_matches_high_precision_oracle(self, h, j):
-        ours = float(_unit_lag_autocovariance(np.array([j]), h)[0])
+        ours = float(fgn_autocovariance(np.array([j]), h)[0])
         assert ours == pytest.approx(unit_autocov_oracle(j, h), rel=5e-12)
 
     @pytest.mark.parametrize("h", [0.0013, 0.3])
     def test_large_lag_beats_cancellation(self, h):
         # the naive double-precision second difference is ~1% wrong out here
         j = 2 ** 19
-        ours = float(_unit_lag_autocovariance(np.array([j]), h)[0])
+        ours = float(fgn_autocovariance(np.array([j]), h)[0])
         assert ours == pytest.approx(unit_autocov_oracle(j, h), rel=5e-9)
 
     @pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
     def test_sign_flips_at_half(self, h):
-        values = _unit_lag_autocovariance(np.arange(1, 40), h)
+        values = fgn_autocovariance(np.arange(1, 40), h)
         if h < 0.5:
             assert np.all(values < 0)
         else:
@@ -86,25 +83,14 @@ class TestAutocovariance:
     def test_increments_sum_to_unit_variance(self, h, n):
         # Var B(1) = sum over all pairs of increment covariances = 1
         g = PathGrid(n_points=n, hurst=h)
-        cov = toeplitz(fgn_autocovariance(np.arange(n), g))
+        cov = toeplitz(increment_covariance(np.arange(n), g))
         assert cov.sum() == pytest.approx(1.0, rel=1e-11)
-
-    def test_input_validation(self):
-        g = PathGrid(n_points=8, hurst=0.3)
-        with pytest.raises(ValueError):
-            fgn_autocovariance(1.5, g)
-        with pytest.raises(ValueError):
-            fgn_autocovariance(8, g)
-        with pytest.raises(ValueError):
-            fgn_autocovariance(-1, g)
-        assert isinstance(fgn_autocovariance(3, g), float)
-        assert fgn_autocovariance(np.array([0, 1]), g).shape == (2,)
 
 
 class TestCovarianceMatrix:
     def test_brownian_case_is_min(self):
         g = PathGrid(n_points=16, hurst=0.5)
-        t = g.times
+        t = np.arange(1, 17) / 16
         np.testing.assert_allclose(
             fbm_covariance_matrix(g), np.minimum.outer(t, t), rtol=1e-14
         )
@@ -113,7 +99,8 @@ class TestCovarianceMatrix:
     def test_diagonal_and_psd(self, h):
         g = PathGrid(n_points=32, hurst=h)
         cov = fbm_covariance_matrix(g)
-        np.testing.assert_allclose(np.diag(cov), g.times ** (2 * h), rtol=1e-13)
+        t = np.arange(1, 33) / 32
+        np.testing.assert_allclose(np.diag(cov), t ** (2 * h), rtol=1e-13)
         np.testing.assert_allclose(cov, cov.T, rtol=1e-15)
         assert np.linalg.eigvalsh(cov).min() > -1e-12
 
@@ -123,7 +110,7 @@ class TestCovarianceMatrix:
         g = PathGrid(n_points=n, hurst=h)
         diff = np.eye(n) - np.eye(n, k=-1)
         from_paths = diff @ fbm_covariance_matrix(g) @ diff.T
-        target = toeplitz(fgn_autocovariance(np.arange(n), g))
+        target = toeplitz(increment_covariance(np.arange(n), g))
         np.testing.assert_allclose(from_paths, target, rtol=1e-8, atol=1e-15)
 
 
@@ -150,7 +137,7 @@ class TestEmbedding:
         m = spec.size
         half = m // 2
         lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
-        row = float(n) ** (-2.0 * h) * _unit_lag_autocovariance(lags, h)
+        row = increment_covariance(lags, PathGrid(n_points=n, hurst=h))
         dense = np.empty((m, m))
         for i in range(m):
             dense[i] = np.roll(row, i)
@@ -164,7 +151,7 @@ class TestEmbedding:
         g = PathGrid(n_points=n, hurst=h)
         spec = build_embedding(g)
         assert spec.eigenvalues.sum() == pytest.approx(
-            spec.size * fgn_autocovariance(0, g), rel=1e-11
+            spec.size * increment_covariance([0], g)[0], rel=1e-11
         )
 
     def test_spectrum_is_read_only(self):
@@ -222,7 +209,7 @@ class TestSampling:
         noise = rng.standard_normal((100_000, 2 * spec.size))
         incs = _synthesise_pairs(spec, noise)
         flat = incs.reshape(-1, n)
-        target = toeplitz(fgn_autocovariance(np.arange(n), g))
+        target = toeplitz(increment_covariance(np.arange(n), g))
         emp = flat.T @ flat / flat.shape[0]
         diag = np.diag(target)
         se = np.sqrt((np.outer(diag, diag) + target ** 2) / flat.shape[0])
@@ -243,17 +230,6 @@ class TestSampling:
 
 
 class TestCholeskyOracle:
-    def test_factor_reproduces_covariance(self):
-        g = PathGrid(n_points=32, hurst=0.2)
-        factor = cholesky_factor(g)
-        np.testing.assert_allclose(
-            factor @ factor.T, fbm_covariance_matrix(g), rtol=1e-10, atol=1e-14
-        )
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            cholesky_factor(PathGrid(n_points=CHOLESKY_MAX_POINTS + 1, hurst=0.5))
-
     def test_sampled_covariance(self):
         g = PathGrid(n_points=32, hurst=0.2)
         target = fbm_covariance_matrix(g)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fbmax.fbm import PathGrid, average_second_moment, fbm_covariance_matrix
+from conftest import fbm_covariance_matrix
+from fbmax.fbm import PathGrid, average_second_moment
 from fbmax.montecarlo import REDUCTIONS, FunctionalKind
 
 MAX = REDUCTIONS[FunctionalKind.MAX]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from fbmax.special import inverse_erfc, norm_cdf, norm_pdf
+from fbmax.bounds import inverse_erfc
+from fbmax.clark import norm_cdf, norm_pdf
 
 
 def inverse_erf(y):
