@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfcx, log_ndtr
+from scipy.special import log_ndtr, ndtri
 
 from .errors import QuadratureError
 
@@ -35,7 +35,7 @@ __all__ = [
     "delta_upper_bound",
     "sudakov_lower_bound",
     "sudakov_maximizer",
-    "inverse_erfc",
+    "limit_quantile",
     "limit_integral",
     "limit_integral_quantile_form",
     "limit_integral_tail_form",
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _TWO_PI_LN2 = 2.0 * math.pi * math.log(2.0)
-_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 #: Tolerance of the limit integral; the two quadrature routes must agree to this.
 INTEGRAL_ABS_TOL = 1e-5
 
@@ -140,48 +139,30 @@ def sudakov_maximizer(hurst: float) -> SudakovMaximizer:
     return SudakovMaximizer(n_star=n_star, value=sudakov_lower_bound(n_star, hurst))
 
 
-def inverse_erfc(q: float) -> float:
-    """Inverse of the complementary error function on (0, 2).
+def limit_quantile(u: float | np.ndarray, n_points: int) -> float | np.ndarray:
+    """Quantile of the limit law (1/sqrt 2) max(0, M_N) at u in [0, 1].
 
-    Accurate to a relative error far below 1e-12 over the whole domain,
-    including q close to 0 where the result grows like sqrt(-log q). A
-    rational estimate (Hastings-type, absolute error ~4.5e-4) is polished by
-    Newton steps on erfc; two to three steps reach near machine precision.
+    M_N, the maximum of N iid standard normals, has CDF Phi^N, so
+    M_N = -ndtri(1 - u^(1/N)), with 1 - u^(1/N) formed by expm1 to keep its
+    digits at large N. Accepts a float or an array. At u = 0 the log divides
+    by zero and the result clips to 0; a caller that passes u = 0 silences
+    that warning itself, since quad calls this about 700 times per
+    integral and a context manager here would nearly double its time.
     """
-    if not 0.0 < q < 2.0:
-        raise ValueError(f"inverse_erfc requires 0 < q < 2, got {q!r}")
-    if q == 1.0:
-        return 0.0
-    if q > 1.0:
-        return -inverse_erfc(2.0 - q)
-    log_q = math.log(q)
-    t = math.sqrt(-2.0 * (log_q - math.log(2.0)))
-    x = -0.70711 * ((2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t)
-    for _ in range(4):
-        # Newton on erfc(x) - q, written with the scaled complement erfcx so
-        # the exp(x^2) factors never overflow: erfc(x) = erfcx(x) exp(-x^2).
-        step = _HALF_SQRT_PI * (float(erfcx(x)) - math.exp(x * x + log_q))
-        x += step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
-    return x
+    return np.maximum(-ndtri(-np.expm1(np.log(u) / n_points)), 0.0) / math.sqrt(2.0)
 
 
 def limit_integral_quantile_form(n_points: int) -> float:
     """N int_{1/2}^1 erf^(-1)(2z - 1) z^(N-1) dz via the substitution t = z^N.
 
     The substitution turns the near-1 concentration of z^(N-1) into the flat
-    integrand erfc^(-1)(-2 expm1(ln t / N)) on (2^-N, 1), which adaptive
-    Gauss-Kronrod quadrature handles at any N.
+    integrand ``limit_quantile(t, N)`` on (2^-N, 1), below which it is 0, and
+    adaptive Gauss-Kronrod quadrature handles it at any N.
     """
     n_points = _check_points(n_points)
-
-    def integrand(t: float) -> float:
-        return inverse_erfc(-2.0 * math.expm1(math.log(t) / n_points))
-
     lower = 2.0 ** (-n_points) if n_points < 1074 else 0.0
-    result = quad(integrand, lower, 1.0, epsabs=1e-10, epsrel=1e-10,
-                  limit=300, full_output=1)
+    result = quad(limit_quantile, lower, 1.0, args=(n_points,), epsabs=1e-10,
+                  epsrel=1e-10, limit=300, full_output=1)
     if len(result) > 3:
         raise QuadratureError(
             f"quantile-form quadrature failed for N={n_points}: {result[-1]}"

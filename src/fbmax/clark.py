@@ -22,7 +22,6 @@ import numpy as np
 from .fbm import PathGrid
 
 __all__ = [
-    "CLARK_MAX_POINTS",
     "GaussianVectorSpec",
     "ClarkDiagnostics",
     "ClarkResult",
@@ -34,9 +33,6 @@ __all__ = [
     "run_clark_recursion",
     "clark_expected_max",
 ]
-
-#: Default refusal threshold for the O(N^2) recursion.
-CLARK_MAX_POINTS = 2 ** 17
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -171,23 +167,14 @@ def clark_correlation_update(
     return np.clip(raw, -1.0, 1.0)
 
 
-def run_clark_recursion(
-    spec: GaussianVectorSpec,
-    allow_large: bool = False,
-) -> ClarkResult:
+def run_clark_recursion(spec: GaussianVectorSpec) -> ClarkResult:
     """Run the full recursion over spec's coordinates in ascending order.
 
     The state after absorbing coordinates 0..k is the approximated mean and
     second moment of their maximum, plus its correlation with each remaining
-    coordinate. Memory is O(N); work is O(N^2). Sizes above CLARK_MAX_POINTS
-    are refused unless ``allow_large`` is set.
+    coordinate. Memory is O(N); work is O(N^2).
     """
     n = spec.size
-    if n > CLARK_MAX_POINTS and not allow_large:
-        raise ValueError(
-            f"size {n} exceeds the recursion guard {CLARK_MAX_POINTS}; "
-            "pass allow_large=True to override"
-        )
     means = np.asarray(spec.mean, dtype=float)
     variances = np.asarray(spec.variance, dtype=float)
     if np.any(variances <= 0.0):
@@ -218,6 +205,6 @@ def run_clark_recursion(
     return ClarkResult(expected_max=mean_m, second_moment=second_m, diagnostics=diagnostics)
 
 
-def clark_expected_max(spec: GaussianVectorSpec, allow_large: bool = False) -> float:
+def clark_expected_max(spec: GaussianVectorSpec) -> float:
     """Approximate E max of the vector; see run_clark_recursion."""
-    return run_clark_recursion(spec, allow_large=allow_large).expected_max
+    return run_clark_recursion(spec).expected_max

@@ -16,8 +16,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from .bounds import limit_quantile
 from .fbm import PathGrid, build_embedding, _synthesise_pairs
 
 __all__ = [
@@ -134,12 +134,11 @@ def fbm_functional_samples(
 def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.ndarray:
     """Samples of (1/sqrt 2) max(0, max of N iid standard normals).
 
-    This is the H -> 0 limit law of the scaled maximum functional. The
-    maximum M of N iid normals has CDF Phi^N, so M = -ndtri(1 - u^(1/N)) for
-    a uniform u, with 1 - u^(1/N) formed by expm1 to keep its digits at large
-    N. The cost is O(1) per replication whatever N is. Replication k uses the
-    k-th uniform of the root stream of ``master_seed``, so a smaller sample is
-    a prefix of a larger one.
+    This is the H -> 0 limit law of the scaled maximum functional, sampled by
+    applying its quantile ``bounds.limit_quantile`` to one uniform per
+    replication, so the cost is O(1) per replication whatever N is.
+    Replication k uses the k-th uniform of the root stream of
+    ``master_seed``, so a smaller sample is a prefix of a larger one.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
@@ -147,8 +146,7 @@ def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.n
         raise ValueError(f"sample_size must be >= 2, got {sample_size}")
     u = np.random.default_rng(master_seed).random(sample_size)
     with np.errstate(divide="ignore"):  # u = 0 gives M = -inf, clipped to 0
-        best = -ndtri(-np.expm1(np.log(u) / n_points))
-    return np.maximum(best, 0.0) / math.sqrt(2.0)
+        return limit_quantile(u, n_points)
 
 
 def run_iid_limit_experiment(

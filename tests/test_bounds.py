@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -195,12 +196,37 @@ class TestLimitIntegral:
         finally:
             mod.limit_integral.cache_clear()
 
+    @pytest.mark.parametrize("n", [1, 2, 2 ** 8, 2 ** 10, 2 ** 20])
+    def test_matches_30_digit_oracle(self, n):
+        # (1/sqrt 2) int_0^inf (1 - Phi(x)^N) dx; the fixed breakpoints bracket
+        # the integrand's drop near sqrt(2 ln N) up to N = 2^31
+        with mp.workdps(30):
+            tail = mp.quad(lambda x: -mp.expm1(n * mp.log(mp.ncdf(x))),
+                           [0, 1, 2, 3, 4, 5, 6, 8, 12, mp.inf])
+            oracle = float(tail / mp.sqrt(2))
+        assert limit_integral(n) == pytest.approx(oracle, abs=1e-12)
+
     def test_extreme_grid(self):
         assert limit_integral(2 ** 31) == pytest.approx(4.390, abs=2e-3)
         # the exact iid-limit sampler reaches the same grid at O(1) per sample
         stats = summarize(iid_limit_samples(2 ** 31, 200_000, 9))
         se = math.sqrt(stats.variance / stats.count)
         assert abs(stats.mean - limit_integral(2 ** 31)) < 4.0 * se
+
+
+class TestCrossover:
+    """The grid size 2^J at which L(N) first reaches Borovkov's lower bound.
+
+    L(N) bounds E max_{i<=N} B(i/N) from above for every H, so no grid with
+    fewer than 2^J points can carry the discrete maximum up to that bound.
+    """
+
+    @pytest.mark.parametrize("h,j", [(0.5, 1), (0.09, 2), (0.01, 9), (0.0013, 51),
+                                     (1e-4, 615)])
+    def test_pinned_exponent(self, h, j):
+        # tightest at H = 1e-4: 20.5397 < 20.5511 <= 20.5566
+        lower = borovkov_bounds(h).lower
+        assert limit_integral(2 ** (j - 1)) < lower <= limit_integral(2 ** j)
 
 
 class TestLimitRate:

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import draw_pair_cases, fbm_covariance_matrix, pair_max_moments_oracle
 from fbmax.clark import (
-    CLARK_MAX_POINTS,
     ClarkDiagnostics,
     GaussianVectorSpec,
     clark_correlation_update,
@@ -279,11 +278,3 @@ class TestRecursion:
                                cross_covariance=lambda k: np.zeros(2 - k))
         with pytest.raises(ValueError, match="variances must be positive"):
             run_clark_recursion(dense_spec(np.zeros(2), np.diag([1.0, 0.0])))
-
-    def test_size_guard(self):
-        n = CLARK_MAX_POINTS + 1
-        spec = GaussianVectorSpec(
-            mean=np.zeros(n), variance=np.ones(n), cross_covariance=lambda k: np.zeros(n - 1 - k)
-        )
-        with pytest.raises(ValueError, match="allow_large"):
-            run_clark_recursion(spec)

@@ -7,7 +7,11 @@ byte; a change that alters an estimator regenerates the file and says why.
 ``table2.csv`` and ``limit_mc.csv`` were regenerated when the iid-limit sampler
 changed from drawing all N normals per replication to inverting the CDF Phi^N
 of their maximum at one uniform: the same law, other draws. Their ``integral``
-columns did not change.
+columns did not change. ``limit.csv``, ``bounds.csv`` and ``table2.csv`` were
+regenerated when the quantile-form quadrature began to integrate the iid
+sampler's own quantile (scipy's ``ndtri``) instead of a hand-written inverse
+erfc: the full-precision ``limit``, ``limit_integral``, ``delta_lower`` and
+``integral`` columns moved by at most 1.2e-13, and every other byte is kept.
 
 Regenerate one file with, for example::
 
