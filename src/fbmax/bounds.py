@@ -46,6 +46,8 @@ __all__ = [
 _TWO_PI_LN2 = 2.0 * math.pi * math.log(2.0)
 #: Tolerance of the limit integral; the two quadrature routes must agree to this.
 INTEGRAL_ABS_TOL = 1e-5
+#: Largest N of the limit integral: both routes multiply or divide by N as a double.
+LIMIT_MAX_POINTS = 2 ** 1023
 
 
 def _check_hurst(hurst: float) -> float:
@@ -55,11 +57,13 @@ def _check_hurst(hurst: float) -> float:
     return hurst
 
 
-def _check_points(n: int, minimum: int = 1) -> int:
+def _check_points(n: int, minimum: int = 1, maximum: int | None = None) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")
     if n < minimum:
         raise ValueError(f"n must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ValueError(f"n must be <= 2^{math.log2(maximum):g}, got about 2^{math.log2(n):.6g}")
     return int(n)
 
 
@@ -159,7 +163,7 @@ def limit_integral_quantile_form(n_points: int) -> float:
     integrand ``limit_quantile(t, N)`` on (2^-N, 1), below which it is 0, and
     adaptive Gauss-Kronrod quadrature handles it at any N.
     """
-    n_points = _check_points(n_points)
+    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
     lower = 2.0 ** (-n_points) if n_points < 1074 else 0.0
     result = quad(limit_quantile, lower, 1.0, args=(n_points,), epsabs=1e-10,
                   epsrel=1e-10, limit=300, full_output=1)
@@ -183,7 +187,7 @@ def limit_integral_tail_form(n_points: int) -> float:
     truncation point keeps the dropped tail below ~1e-12: past it the
     integrand is under N(1 - Phi(x)) <= N phi(x)/x.
     """
-    n_points = _check_points(n_points)
+    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
     x_max = 1.0
     while (
         n_points * math.exp(-0.5 * x_max * x_max)

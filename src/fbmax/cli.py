@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -116,8 +117,7 @@ def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
     grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
     row = _cell(hurst, exponent)
     if args.method in (None, "mc"):
-        maxima = fbm_functional_samples(grid, args.samples, args.seed)[FunctionalKind.MAX]
-        row |= _mc_pairs(summarize(maxima))
+        row |= _mc_pairs(summarize(args.fbm_samples(exponent)[hurst][FunctionalKind.MAX]))
     if args.method in (None, "clark"):
         if grid.n_points > CLARK_MAX_POINTS and not args.force_large_clark:
             row |= _pair("clark", None) | {"clark_status": "skipped"}
@@ -149,7 +149,7 @@ def _table4_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
     grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
-    samples = fbm_functional_samples(grid, args.samples, args.seed)
+    samples = args.fbm_samples(exponent)[hurst]
     statistics = (
         ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
         ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
@@ -178,8 +178,7 @@ def _bounds_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 
 def _simulate_rows(args, hurst: float, exponent: int) -> list[dict]:
-    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
-    samples = fbm_functional_samples(grid, args.samples, args.seed)
+    samples = args.fbm_samples(exponent)[hurst]
     maxima, averages = samples[FunctionalKind.MAX], samples[FunctionalKind.AVERAGE]
     return [_cell(hurst, exponent) | {"replication": rep}
             | _pair("max", float(maxima[rep])) | _pair("average", float(averages[rep]))
@@ -254,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     rows_of, default_h, default_exponents, _ = _COMMANDS[args.command]
     h_values = [None] if default_h is None else args.h_values or default_h
     cells = itertools.product(h_values, args.n_exponents or default_exponents)
+    # every H of one N shares its draws, so the first cell of an N samples them all
+    args.fbm_samples = functools.cache(lambda exponent: fbm_functional_samples(
+        2 ** exponent, h_values, args.samples, args.seed))
     try:  # before the first cell, so a bad path costs no computation
         output = (contextlib.nullcontext(sys.stdout) if args.out is None
                   else open(args.out, "w", encoding="utf-8", newline=""))

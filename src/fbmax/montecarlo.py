@@ -99,22 +99,24 @@ def summarize(samples: np.ndarray) -> SampleSummary:
 
 
 def fbm_functional_samples(
-    grid: PathGrid, sample_size: int, master_seed: int
-) -> dict[FunctionalKind, np.ndarray]:
-    """One sample of every functional per replication, keyed by functional kind.
+    n_points: int, hursts, sample_size: int, master_seed: int
+) -> dict[float, dict[FunctionalKind, np.ndarray]]:
+    """One sample of every functional per replication, keyed by H, then kind.
 
-    Cost is O(n N log N) overall; synthesis is chunked so peak memory stays
-    near CHUNK_DRAW_BUDGET draws regardless of n.
+    Each chunk of normals is drawn once and synthesised for every H. Cost is
+    O(n N log N) per H; peak memory stays near CHUNK_DRAW_BUDGET draws.
     """
     n = operator.index(sample_size)
     if n < 2:
         raise ValueError(f"sample_size must be >= 2, got {sample_size}")
-    spectrum = build_embedding(grid)
+    spectra = {h: build_embedding(PathGrid(n_points=n_points, hurst=h)) for h in hursts}
+    if not spectra:
+        raise ValueError("hursts must not be empty")
     n_pairs = (n + 1) // 2
-    draws_per_pair = 2 * spectrum.size
+    draws_per_pair = 2 * next(iter(spectra.values())).size  # the size depends on N alone
     pairs_per_chunk = max(1, CHUNK_DRAW_BUDGET // draws_per_pair)
 
-    out = {kind: np.empty(n) for kind in FunctionalKind}
+    out = {h: {kind: np.empty(n) for kind in FunctionalKind} for h in spectra}
     done = 0
     for chunk_start in range(0, n_pairs, pairs_per_chunk):
         chunk = min(pairs_per_chunk, n_pairs - chunk_start)
@@ -122,13 +124,20 @@ def fbm_functional_samples(
         for row in range(chunk):
             rng = replication_rng(master_seed, chunk_start + row)
             noise[row] = rng.standard_normal(draws_per_pair)
-        increments = _synthesise_pairs(spectrum, noise).reshape(2 * chunk, -1)
         take = min(2 * chunk, n - done)
-        paths = np.cumsum(increments[:take], axis=1)
-        for kind, values in out.items():
-            values[done:done + take] = REDUCTIONS[kind](paths)
+        for h, spectrum in spectra.items():
+            _reduce_chunk(spectrum, noise, take, out[h], done)
         done += take
     return out
+
+
+def _reduce_chunk(spectrum, noise, take, out, done) -> None:
+    """Reduce one chunk's first ``take`` paths at one H into ``out[kind][done:]``,
+    in a function of its own so they are freed before the next H's synthesis."""
+    increments = _synthesise_pairs(spectrum, noise).reshape(2 * noise.shape[0], -1)
+    paths = np.cumsum(increments[:take], axis=1)
+    for kind, values in out.items():
+        values[done:done + take] = REDUCTIONS[kind](paths)
 
 
 def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.ndarray:

@@ -42,9 +42,10 @@ from fbmax.fbm import PathGrid, _synthesise_pairs, average_second_moment, build_
 from fbmax.montecarlo import FunctionalKind, fbm_functional_samples
 
 
-def _max_samples(n_points, hurst, sample_size, seed):
-    grid = PathGrid(n_points=n_points, hurst=hurst)
-    return fbm_functional_samples(grid, sample_size, seed)[FunctionalKind.MAX]
+def _max_samples(n_points, hursts, sample_size, seed):
+    """Max-functional samples keyed by H; every H at this N shares its draws."""
+    samples = fbm_functional_samples(n_points, hursts, sample_size, seed)
+    return {hurst: by_kind[FunctionalKind.MAX] for hurst, by_kind in samples.items()}
 
 
 def _circulant_paths(grid, n_paths, rng):
@@ -188,7 +189,7 @@ def test_criterion_07_monte_carlo_cells():
     ok = True
     for n_points, hurst, published in cells:
         start = time.perf_counter()
-        samples = _max_samples(n_points, hurst, 1000, seed=12345)
+        samples = _max_samples(n_points, [hurst], 1000, seed=12345)[hurst]
         elapsed = time.perf_counter() - start
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         z = (samples.mean() - published) / se
@@ -215,7 +216,7 @@ def test_criterion_08_clark_recursion():
     # Clark's recursion is an approximation: it sits a few percent above the
     # true E max, so the large cell is checked against this suite's own Monte
     # Carlo, allowing 4% approximation error plus 3 standard errors.
-    samples = _max_samples(2 ** 10, 0.09, 4000, seed=12345)
+    samples = _max_samples(2 ** 10, [0.09], 4000, seed=12345)[0.09]
     mc_mean = samples.mean()
     mc_se = samples.std(ddof=1) / math.sqrt(samples.size)
     mc_tol = 0.04 * mc_mean + 3.0 * mc_se
@@ -235,7 +236,7 @@ def test_criterion_08_clark_recursion():
 
 def test_criterion_09_average_functional():
     grid = PathGrid(n_points=2 ** 12, hurst=0.01)
-    samples = fbm_functional_samples(grid, 1000, 303)[FunctionalKind.AVERAGE]
+    samples = fbm_functional_samples(2 ** 12, [0.01], 1000, 303)[0.01][FunctionalKind.AVERAGE]
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     z_mean = samples.mean() / se
     squares = samples ** 2
@@ -260,12 +261,12 @@ def test_criterion_10_paradox_reproduction():
     start = time.perf_counter()
     failures = []
     closest = math.inf
-    for hurst in (0.0013, 0.0001):
-        lower = borovkov_bounds(hurst).lower
-        for exponent in range(8, 20):
-            n_points = 2 ** exponent
-            sample_size = 1000 if exponent <= 16 else 250
-            samples = _max_samples(n_points, hurst, sample_size, seed=404)
+    for exponent in range(8, 20):
+        n_points = 2 ** exponent
+        sample_size = 1000 if exponent <= 16 else 250
+        maxima = _max_samples(n_points, (0.0013, 0.0001), sample_size, seed=404)
+        for hurst, samples in maxima.items():
+            lower = borovkov_bounds(hurst).lower
             se = samples.std(ddof=1) / math.sqrt(samples.size)
             mean = samples.mean()
             sandwich_low = sudakov_lower_bound(n_points, hurst) - 3.0 * se

@@ -185,6 +185,19 @@ class TestLimitIntegral:
         with pytest.raises(ValueError):
             limit_integral(0)
 
+    @pytest.mark.parametrize("route", [limit_integral, limit_integral_quantile_form,
+                                       limit_integral_tail_form])
+    @pytest.mark.parametrize("n", [2 ** 1023 + 1, 2 ** 1024, 2 ** 1100])
+    def test_grid_above_double_range_rejected(self, route, n, monkeypatch):
+        # refused with the bound named, before any quadrature runs
+        monkeypatch.setattr("fbmax.bounds.quad", None)
+        with pytest.raises(ValueError, match=r"<= 2\^1023"):
+            route(n)
+
+    def test_largest_grid_accepted_by_both_routes(self):
+        quantile = limit_integral_quantile_form(2 ** 1023)
+        assert quantile == pytest.approx(limit_integral_tail_form(2 ** 1023), abs=1e-4)
+
     def test_quadrature_failure_reported(self, monkeypatch):
         import fbmax.bounds as mod
 

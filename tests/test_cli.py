@@ -17,7 +17,7 @@ from fbmax.clark import clark_expected_max, fbm_vector_spec
 from fbmax.cli import default_hurst_grid, main
 from fbmax.errors import QuadratureError
 from fbmax.fbm import PathGrid
-from fbmax.montecarlo import iid_limit_samples
+from fbmax.montecarlo import fbm_functional_samples, iid_limit_samples
 
 
 def run_cli(capsys, argv):
@@ -234,6 +234,45 @@ class TestFigures:
         assert float(rows[2]["theory"]) == borovkov_bounds(0.01).lower
         for row in rows:
             assert float(row["ci_low"]) <= float(row["sample"]) <= float(row["ci_high"])
+
+
+class TestSharedDraws:
+    """Every H of one N is sampled by one call, from the same normals."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(n_points, hursts, sample_size, master_seed):
+            calls.append((n_points, list(hursts)))
+            return fbm_functional_samples(n_points, hursts, sample_size, master_seed)
+
+        monkeypatch.setattr(fbmax.cli, "fbm_functional_samples", counted)
+        return calls
+
+    def test_one_call_per_n(self, capsys, calls):
+        argv = ["figures", "--h", "0.2", "--h", "0.05", "--n-exp", "6", "--n-exp", "7",
+                "--samples", "10"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert calls == [(64, [0.2, 0.05]), (128, [0.2, 0.05])]
+        # rows stay H-major
+        assert [(r["h"], r["n_exp"]) for r in read_csv(out)[::3]] == [
+            ("0.2", "6"), ("0.2", "7"), ("0.05", "6"), ("0.05", "7")]
+
+    def test_clark_alone_never_samples(self, capsys, calls):
+        argv = ["table1", "--method", "clark", "--h", "0.09", "--h", "0.01", "--n-exp", "5"]
+        assert run_cli(capsys, argv)[0] == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["table1", "figures", "simulate"])
+    def test_duplicated_h_gives_identical_rows(self, capsys, command):
+        argv = [command, "--h", "0.3", "--h", "0.3", "--n-exp", "5", "--samples", "6"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        rows = read_csv(out)
+        half = len(rows) // 2
+        assert half and rows[:half] == rows[half:]
 
 
 class TestBoundsCommand:

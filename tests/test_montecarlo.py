@@ -7,7 +7,6 @@ from scipy.special import log_ndtr
 
 import fbmax.montecarlo
 from fbmax.bounds import limit_integral
-from fbmax.fbm import PathGrid
 from fbmax.montecarlo import (
     FunctionalKind,
     SampleSummary,
@@ -78,42 +77,57 @@ class TestExperimentConfig:
     """Argument checks of the fBm sampler."""
 
     def test_validation(self):
-        grid = PathGrid(n_points=4, hurst=0.5)
         with pytest.raises(ValueError):
-            fbm_functional_samples(grid, 1, 0)
+            fbm_functional_samples(4, [0.5], 1, 0)
         with pytest.raises(ValueError):
-            fbm_functional_samples(grid, 2, -1)
+            fbm_functional_samples(4, [0.5], 2, -1)
         with pytest.raises(TypeError):
-            fbm_functional_samples(grid, 2.5, 0)
+            fbm_functional_samples(4, [0.5], 2.5, 0)
+        with pytest.raises(ValueError):
+            fbm_functional_samples(4, [], 2, 0)
+        with pytest.raises(ValueError):
+            fbm_functional_samples(4, [0.5, 1.5], 2, 0)
 
 
 class TestFbmExperiment:
     def test_deterministic_rerun(self):
-        grid = PathGrid(n_points=16, hurst=0.2)
-        first, second = fbm_functional_samples(grid, 9, 5), fbm_functional_samples(grid, 9, 5)
-        for kind in FunctionalKind:
-            np.testing.assert_array_equal(first[kind], second[kind])
+        first, second = (fbm_functional_samples(16, [0.2, 0.7], 9, 5) for _ in range(2))
+        for hurst in (0.2, 0.7):
+            for kind in FunctionalKind:
+                np.testing.assert_array_equal(first[hurst][kind], second[hurst][kind])
 
     def test_chunking_does_not_change_samples(self, monkeypatch):
-        grid = PathGrid(n_points=32, hurst=0.3)
-        base = fbm_functional_samples(grid, 11, 7)
+        base = fbm_functional_samples(32, [0.3], 11, 7)[0.3]
         monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 1)
-        small = fbm_functional_samples(grid, 11, 7)
+        small = fbm_functional_samples(32, [0.3], 11, 7)[0.3]
         for kind in base:
             np.testing.assert_array_equal(base[kind], small[kind])
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+    def test_every_hurst_equals_its_own_call(self, monkeypatch, order):
+        # N = 32 embeds in 64 points, 128 draws per pair: two pairs per chunk,
+        # so 13 replications take four chunks, the last with one path of two
+        monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 256)
+        hursts = [0.05, 0.3, 0.5, 0.9][::order]
+        shared = fbm_functional_samples(32, hursts, 13, 7)
+        assert list(shared) == hursts
+        for hurst in hursts:
+            alone = fbm_functional_samples(32, [hurst], 13, 7)[hurst]
+            for kind in FunctionalKind:
+                np.testing.assert_array_equal(shared[hurst][kind], alone[kind])
+
     def test_odd_sample_size(self):
-        samples = fbm_functional_samples(PathGrid(n_points=8, hurst=0.5), 5, 1)
+        samples = fbm_functional_samples(8, [0.5], 5, 1)[0.5]
         assert set(samples) == set(FunctionalKind)
         assert all(v.shape == (5,) for v in samples.values())
 
     def test_max_dominates_average_per_path(self):
-        samples = fbm_functional_samples(PathGrid(n_points=64, hurst=0.1), 20, 2)
+        samples = fbm_functional_samples(64, [0.1], 20, 2)[0.1]
         assert np.all(samples[FunctionalKind.MAX] >= samples[FunctionalKind.AVERAGE])
 
     def test_single_point_grid_is_standard_normal(self):
         # one grid point: the path is B(1) ~ N(0, 1) and max == average
-        samples = fbm_functional_samples(PathGrid(n_points=1, hurst=0.5), 400, 11)
+        samples = fbm_functional_samples(1, [0.5], 400, 11)[0.5]
         np.testing.assert_array_equal(samples[FunctionalKind.MAX],
                                       samples[FunctionalKind.AVERAGE])
         m = summarize(samples[FunctionalKind.MAX])
@@ -128,8 +142,7 @@ class TestFbmExperiment:
         n = 2 ** exponent
         spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
         assert spitzer == pytest.approx(exact, abs=5e-6)
-        grid = PathGrid(n_points=n, hurst=0.5)
-        m = summarize(fbm_functional_samples(grid, 4000, 9)[FunctionalKind.MAX])
+        m = summarize(fbm_functional_samples(n, [0.5], 4000, 9)[0.5][FunctionalKind.MAX])
         assert abs(m.mean - spitzer) < 4.0 * math.sqrt(m.variance / m.count)
 
 
