@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "BorovkovBounds",
     "DeltaUpperBound",
     "SudakovMaximizer",
-    "BoundsReport",
     "borovkov_bounds",
     "delta_upper_bound",
     "sudakov_lower_bound",
@@ -46,7 +44,8 @@ __all__ = [
 _TWO_PI_LN2 = 2.0 * math.pi * math.log(2.0)
 #: Tolerance of the limit integral; the two quadrature routes must agree to this.
 INTEGRAL_ABS_TOL = 1e-5
-#: Largest N of the limit integral: both routes multiply or divide by N as a double.
+#: Largest N of the limit law: its quadrature routes and its sampler multiply or
+#: divide by N as a double.
 LIMIT_MAX_POINTS = 2 ** 1023
 
 
@@ -104,9 +103,7 @@ def delta_upper_bound(n_points: int, hurst: float) -> DeltaUpperBound:
     returned, with ``valid`` set to False.
     """
     n_points = _check_points(n_points, minimum=2)
-    hurst = float(hurst)
-    if hurst <= 0.0:
-        raise ValueError(f"hurst must be positive, got {hurst!r}")
+    hurst = _check_hurst(hurst)
     log_n = math.log(n_points)
     n_pow_h = math.exp(hurst * log_n)
     value = (2.0 * math.sqrt(log_n) / n_pow_h) * (
@@ -229,44 +226,23 @@ def relative_error_lower(hurst: float) -> float:
     return 1.0 - 16.765 * math.sqrt(hurst)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Every bound this module knows, evaluated at one (N, H) pair.
+def bounds_report(n_points: int, hurst: float) -> dict[str, float | None]:
+    """Every bound this module knows at one (N, H), keyed by its ``bounds.csv``
+    column, in column order.
 
     ``delta_upper`` is None when N < 2^(1/H), where that bound is unproven.
     """
-
-    hurst: float
-    n_points: int
-    borovkov_lower: float
-    borovkov_upper: float
-    sudakov_lower: float
-    delta_upper: float | None
-    limit_integral: float
-    delta_lower: float
-    relative_error_lower: float
-
-    def __post_init__(self):
-        if self.borovkov_lower > self.borovkov_upper:
-            raise ValueError("borovkov_lower must not exceed borovkov_upper")
-        if self.sudakov_lower < 0.0 or self.limit_integral <= 0.0:
-            raise ValueError("sudakov_lower must be >= 0 and limit_integral > 0")
-
-
-def bounds_report(n_points: int, hurst: float) -> BoundsReport:
     n_points = _check_points(n_points)
     hurst = _check_hurst(hurst)
     borovkov = borovkov_bounds(hurst)
     delta_up = delta_upper_bound(n_points, hurst) if n_points >= 2 else None
     integral = limit_integral(n_points)
-    return BoundsReport(
-        hurst=hurst,
-        n_points=n_points,
-        borovkov_lower=borovkov.lower,
-        borovkov_upper=borovkov.upper,
-        sudakov_lower=sudakov_lower_bound(n_points, hurst),
-        delta_upper=delta_up.value if delta_up is not None and delta_up.valid else None,
-        limit_integral=integral,
-        delta_lower=borovkov.lower - integral,
-        relative_error_lower=relative_error_lower(hurst),
-    )
+    return {
+        "borovkov_lower": borovkov.lower,
+        "borovkov_upper": borovkov.upper,
+        "sudakov_lower": sudakov_lower_bound(n_points, hurst),
+        "delta_upper": delta_up.value if delta_up is not None and delta_up.valid else None,
+        "limit_integral": integral,
+        "delta_lower": borovkov.lower - integral,
+        "relative_error_lower": relative_error_lower(hurst),
+    }

@@ -1,10 +1,12 @@
-"""Clark's sequential moment-matching approximation of E max of a Gaussian vector.
+"""Clark's sequential moment-matching approximation of E max of the fBm grid vector.
 
 The exact first two moments of max{xi, eta} for a bivariate Gaussian pair, and
 the correlation of that max with any third Gaussian variable, admit closed
 forms. Absorbing one coordinate at a time while pretending the running maximum
 stays Gaussian gives an O(N^2) deterministic approximation of
-E max{xi_1, ..., xi_N}. Coordinates are absorbed in ascending index order.
+E max{xi_1, ..., xi_N}. The recursion runs on the centred vector
+(B(1/N), ..., B(N/N)), given by its variances, and absorbs it in ascending
+time order.
 
 Two numerical safeguards: updated correlations are clamped to [-1, 1], and a
 zero-variance running maximum short-circuits to the larger mean; both events
@@ -15,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .fbm import PathGrid
 
 __all__ = [
-    "GaussianVectorSpec",
     "ClarkDiagnostics",
     "ClarkResult",
     "fbm_vector_spec",
@@ -50,50 +50,14 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-@dataclass(frozen=True)
-class GaussianVectorSpec:
-    """A Gaussian vector given by its moments as arrays.
+def fbm_vector_spec(grid: PathGrid) -> np.ndarray:
+    """Variances v_i = ((i+1)/N)^{2H} of (B(1/N), ..., B(N/N)).
 
-    ``mean`` and ``variance`` hold one entry per coordinate; variances must be
-    strictly positive. ``cross_covariance(k)`` returns the covariances
-    Cov(x_k, x_j) for j = k+1, ..., size-1, the row the recursion needs when
-    it absorbs coordinate k.
-    """
-
-    mean: np.ndarray
-    variance: np.ndarray
-    cross_covariance: Callable[[int], np.ndarray]
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if len(self.variance) != self.size:
-            raise ValueError(
-                f"{len(self.variance)} variances do not match {self.size} means"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.mean)
-
-
-def fbm_vector_spec(grid: PathGrid) -> GaussianVectorSpec:
-    """Spec of (B(1/N), ..., B(N/N)); index i refers to time (i+1)/N.
-
-    Cov(B(s), B(t)) = 0.5 (s^{2H} + t^{2H} - |t - s|^{2H}), so row k needs
-    t^{2H} at the later times and |t - s|^{2H} at lags 1, ..., N-1-k: two
-    contiguous slices of precomputed powers.
+    They fix the whole covariance: Cov(B(s), B(t)) = 0.5 (v_s + v_t - v_{|t-s|}),
+    and every lag |t - s| is itself a grid time.
     """
     n = grid.n_points
-    two_h = 2.0 * grid.hurst
-    pow_t = ((np.arange(n) + 1.0) / n) ** two_h
-    pow_lag = (np.arange(1, n) / n) ** two_h
-
-    def cross_covariance(k):
-        return 0.5 * (pow_t[k] + pow_t[k + 1:] - pow_lag[:n - 1 - k])
-
-    return GaussianVectorSpec(mean=np.zeros(n), variance=pow_t,
-                              cross_covariance=cross_covariance)
+    return ((np.arange(n) + 1.0) / n) ** (2.0 * grid.hurst)
 
 
 @dataclass
@@ -167,44 +131,44 @@ def clark_correlation_update(
     return np.clip(raw, -1.0, 1.0)
 
 
-def run_clark_recursion(spec: GaussianVectorSpec) -> ClarkResult:
-    """Run the full recursion over spec's coordinates in ascending order.
+def run_clark_recursion(variances: np.ndarray) -> ClarkResult:
+    """Run the full recursion over the fBm grid vector in ascending time order.
 
-    The state after absorbing coordinates 0..k is the approximated mean and
-    second moment of their maximum, plus its correlation with each remaining
-    coordinate. Memory is O(N); work is O(N^2).
+    ``variances`` is the vector ``fbm_vector_spec`` returns; the means are
+    zero. The state after absorbing coordinates 0..k is the approximated mean
+    and second moment of their maximum, plus its correlation with each
+    remaining coordinate. Memory is O(N); work is O(N^2).
     """
-    n = spec.size
-    means = np.asarray(spec.mean, dtype=float)
-    variances = np.asarray(spec.variance, dtype=float)
-    if np.any(variances <= 0.0):
-        raise ValueError("all variances must be positive")
-    sd = np.sqrt(variances)
+    v = np.asarray(variances, dtype=float)
+    n = v.size
+    if n < 1 or not np.all(v > 0.0):
+        raise ValueError("variances must be a non-empty vector of positive values")
+    sd = np.sqrt(v)
     diagnostics = ClarkDiagnostics()
 
-    mean_m = float(means[0])
-    second_m = float(means[0] ** 2 + variances[0])
+    def correlations(k):
+        """Corr(x_k, x_j) for j = k+1, ..., N-1; the lags j - k are v's times."""
+        return 0.5 * (v[k] + v[k + 1:] - v[:n - 1 - k]) / (sd[k] * sd[k + 1:])
+
+    mean_m = 0.0
+    second_m = float(v[0])
     if n > 1:
-        corr = spec.cross_covariance(0) / (sd[0] * sd[1:])
+        corr = correlations(0)
 
     for k in range(1, n):
         var_m = max(second_m - mean_m * mean_m, 0.0)
         rho = float(corr[0])
-        cov_mk = rho * math.sqrt(var_m * variances[k])
-        mean, second, alpha = pair_moments(
-            mean_m, var_m, float(means[k]), float(variances[k]), cov_mk
-        )
+        cov_mk = rho * math.sqrt(var_m * v[k])
+        mean, second, alpha = pair_moments(mean_m, var_m, 0.0, float(v[k]), cov_mk)
         if k < n - 1:
-            corr_k_rem = spec.cross_covariance(k) / (sd[k] * sd[k + 1:])
             corr = clark_correlation_update(
-                var_m, corr[1:], variances[k], corr_k_rem, alpha, (mean, second),
-                diagnostics,
+                var_m, corr[1:], v[k], correlations(k), alpha, (mean, second), diagnostics
             )
         mean_m, second_m = mean, second
 
     return ClarkResult(expected_max=mean_m, second_moment=second_m, diagnostics=diagnostics)
 
 
-def clark_expected_max(spec: GaussianVectorSpec) -> float:
-    """Approximate E max of the vector; see run_clark_recursion."""
-    return run_clark_recursion(spec).expected_max
+def clark_expected_max(variances: np.ndarray) -> float:
+    """Approximate E max of the fBm grid vector; see run_clark_recursion."""
+    return run_clark_recursion(variances).expected_max

@@ -169,11 +169,9 @@ def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 
 def _bounds_rows(args, hurst: float, exponent: int) -> list[dict]:
-    report = bounds_report(2 ** exponent, hurst)
     row = _cell(hurst, exponent)
-    for name in ("borovkov_lower", "borovkov_upper", "sudakov_lower", "delta_upper",
-                 "limit_integral", "delta_lower", "relative_error_lower"):
-        row |= _pair(name, getattr(report, name))
+    for name, value in bounds_report(2 ** exponent, hurst).items():
+        row |= _pair(name, value)
     return [row]
 
 

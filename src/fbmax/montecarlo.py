@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import limit_quantile
+from .bounds import LIMIT_MAX_POINTS, _check_points, limit_quantile
 from .fbm import PathGrid, build_embedding, _synthesise_pairs
 
 __all__ = [
@@ -149,8 +149,7 @@ def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.n
     Replication k uses the k-th uniform of the root stream of
     ``master_seed``, so a smaller sample is a prefix of a larger one.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
     if sample_size < 2:
         raise ValueError(f"sample_size must be >= 2, got {sample_size}")
     u = np.random.default_rng(master_seed).random(sample_size)

@@ -1,11 +1,11 @@
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from fbmax.bounds import (
-    BoundsReport,
     borovkov_bounds,
     bounds_report,
     delta_upper_bound,
@@ -19,6 +19,8 @@ from fbmax.bounds import (
 from fbmax.errors import QuadratureError
 from fbmax.montecarlo import iid_limit_samples, summarize
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 C1 = 1.0 / (2.0 * math.sqrt(math.pi * math.e * math.log(2.0)))
 
 
@@ -29,7 +31,7 @@ def limit_rate_bound(n_points, hurst):
 
 def delta_lower_bound(n_points, hurst):
     """The discretization-error lower bound as the CLI reports it."""
-    return bounds_report(n_points, hurst).delta_lower
+    return bounds_report(n_points, hurst)["delta_lower"]
 
 
 class TestBorovkov:
@@ -72,16 +74,23 @@ class TestDeltaUpper:
         assert delta_upper_bound(2 ** 20, 0.051).valid
 
     def test_hand_checkable_value(self):
-        expected = (2.0 * math.sqrt(math.log(4.0)) / 4.0) * (
-            2.0 + 0.0074 / math.log(4.0) ** 1.5
+        # N^H = 2 at N = 4, H = 1/2
+        expected = (2.0 * math.sqrt(math.log(4.0)) / 2.0) * (
+            3.0 + 0.0074 / math.log(4.0) ** 1.5
         )
-        got = delta_upper_bound(4, 1.0)
+        got = delta_upper_bound(4, 0.5)
         assert got.value == pytest.approx(expected, rel=1e-14)
-        assert got.value == pytest.approx(1.1800790083411195, rel=1e-13)
+        assert got.value == pytest.approx(3.5375680391977133, rel=1e-13)
+        assert got.valid
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             delta_upper_bound(1, 0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0, 1.5, math.nan])
+    def test_rejects_hurst_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="hurst"):
+            delta_upper_bound(2 ** 20, bad)
 
 
 class TestSudakov:
@@ -303,35 +312,22 @@ class TestRelativeError:
 class TestBoundsReport:
     def test_fields_match_operations(self):
         rep = bounds_report(2 ** 20, 0.05)
-        assert rep.n_points == 2 ** 20
-        assert rep.hurst == 0.05
-        assert rep.borovkov_lower == borovkov_bounds(0.05).lower
-        assert rep.borovkov_upper == borovkov_bounds(0.05).upper
-        assert rep.sudakov_lower == sudakov_lower_bound(2 ** 20, 0.05)
-        assert rep.delta_upper == delta_upper_bound(2 ** 20, 0.05).value
-        assert rep.limit_integral == limit_integral(2 ** 20)
-        assert rep.delta_lower == borovkov_bounds(0.05).lower - limit_integral(2 ** 20)
-        assert rep.relative_error_lower == relative_error_lower(0.05)
+        assert rep["borovkov_lower"] == borovkov_bounds(0.05).lower
+        assert rep["borovkov_upper"] == borovkov_bounds(0.05).upper
+        assert rep["sudakov_lower"] == sudakov_lower_bound(2 ** 20, 0.05)
+        assert rep["delta_upper"] == delta_upper_bound(2 ** 20, 0.05).value
+        assert rep["limit_integral"] == limit_integral(2 ** 20)
+        assert rep["delta_lower"] == borovkov_bounds(0.05).lower - limit_integral(2 ** 20)
+        assert rep["relative_error_lower"] == relative_error_lower(0.05)
+        # the report is the bounds.csv row after its cell columns h, n_exp, n
+        header = (GOLDEN_DIR / "bounds.csv").read_text().splitlines()[0].split(",")
+        assert header[:3] == ["h", "n_exp", "n"]
+        assert list(rep) == [name for name in header[3:] if not name.endswith("_4dp")]
 
     def test_delta_upper_suppressed_when_invalid(self):
-        assert bounds_report(2 ** 10, 0.01).delta_upper is None
-
-    def test_invariants_enforced(self):
-        rep = bounds_report(2 ** 12, 0.1)
-        with pytest.raises(ValueError):
-            BoundsReport(
-                hurst=rep.hurst,
-                n_points=rep.n_points,
-                borovkov_lower=rep.borovkov_upper + 1.0,
-                borovkov_upper=rep.borovkov_upper,
-                sudakov_lower=rep.sudakov_lower,
-                delta_upper=rep.delta_upper,
-                limit_integral=rep.limit_integral,
-                delta_lower=rep.delta_lower,
-                relative_error_lower=rep.relative_error_lower,
-            )
+        assert bounds_report(2 ** 10, 0.01)["delta_upper"] is None
 
     def test_sudakov_never_exceeds_analytic_max(self):
         for h in (0.01, 0.05, 0.3):
             rep = bounds_report(2 ** 16, h)
-            assert rep.sudakov_lower <= sudakov_maximizer(h).value + 1e-12
+            assert rep["sudakov_lower"] <= sudakov_maximizer(h).value + 1e-12

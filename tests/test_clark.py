@@ -6,7 +6,6 @@ import pytest
 from conftest import draw_pair_cases, fbm_covariance_matrix, pair_max_moments_oracle
 from fbmax.clark import (
     ClarkDiagnostics,
-    GaussianVectorSpec,
     clark_correlation_update,
     clark_expected_max,
     fbm_vector_spec,
@@ -60,20 +59,6 @@ PAIR_ORACLE_CASES = [
     (1.7795189336768358, 1.726526615651214, 0.09721398547092486, 1.5823251823265878, -0.7539168053016544,
      2.0592573300328936, 5.386241969527301),
 ]
-
-
-def dense_spec(means, cov):
-    """Array-backed spec of N(means, cov) read from a dense covariance matrix."""
-    cov = np.asarray(cov, dtype=float)
-    return GaussianVectorSpec(
-        mean=np.asarray(means, dtype=float),
-        variance=np.diag(cov).copy(),
-        cross_covariance=lambda k: cov[k, k + 1:],
-    )
-
-
-def iid_spec(n):
-    return dense_spec(np.zeros(n), np.eye(n))
 
 
 class TestPairMoments:
@@ -148,60 +133,34 @@ class TestRecursion:
         assert result.second_moment == pytest.approx(ref[1], rel=1e-14)
 
     def test_matches_scalar_operations(self):
-        # the vectorized recursion must agree with a plain scalar replay
-        # built from the pair moments and Clark's correlation formula
-        rng = np.random.default_rng(31)
+        # the vectorized recursion must agree with a plain scalar replay built
+        # from the dense covariance, the pair moments and Clark's correlation formula
         n = 6
-        a = rng.standard_normal((n, n))
-        cov = a @ a.T + 0.5 * np.eye(n)
-        means = rng.standard_normal(n)
-        result = run_clark_recursion(dense_spec(means, cov))
+        for h in (1e-4, 0.09, 0.5, 0.9):
+            grid = PathGrid(n_points=n, hurst=h)
+            cov = fbm_covariance_matrix(grid)
+            result = run_clark_recursion(fbm_vector_spec(grid))
 
-        sd = np.sqrt(np.diag(cov))
-        mean_m, second_m = means[0], means[0] ** 2 + cov[0, 0]
-        corr = [cov[0, k] / (sd[0] * sd[k]) for k in range(1, n)]
-        for k in range(1, n):
-            var_m = second_m - mean_m ** 2
-            cov_mk = corr[0] * math.sqrt(var_m * cov[k, k])
-            pair = pair_moments(mean_m, var_m, means[k], cov[k, k], cov_mk)[:2]
-            a_val = math.sqrt(var_m + cov[k, k] - 2.0 * cov_mk)
-            alpha = (mean_m - means[k]) / a_val
-            sd_max = math.sqrt(pair[1] - pair[0] ** 2)
-            p1 = 0.5 * math.erfc(-alpha / math.sqrt(2.0))  # Phi(alpha)
-            p2 = 0.5 * math.erfc(alpha / math.sqrt(2.0))  # Phi(-alpha)
-            corr = [
-                (math.sqrt(var_m) * corr[j - k] * p1
-                 + sd[k] * (cov[k, j] / (sd[k] * sd[j])) * p2) / sd_max
-                for j in range(k + 1, n)
-            ]
-            assert all(abs(c) <= 1.0 for c in corr)
-            mean_m, second_m = pair
-        assert result.expected_max == pytest.approx(mean_m, rel=1e-12)
-        assert result.second_moment == pytest.approx(second_m, rel=1e-12)
-
-    def test_iid_small_sizes_near_exact(self):
-        # exact for n=2; for n=3,4 the Gaussian-max approximation is known to
-        # sit within a couple of 1e-3 of the true expected maximum
-        assert clark_expected_max(iid_spec(2)) == pytest.approx(
-            1.0 / math.sqrt(math.pi), rel=1e-13
-        )
-        assert clark_expected_max(iid_spec(3)) == pytest.approx(
-            1.5 / math.sqrt(math.pi), abs=2e-3
-        )
-        assert clark_expected_max(iid_spec(4)) == pytest.approx(1.029375, abs=2e-3)
-
-    def test_identical_variables_collapse(self):
-        result = run_clark_recursion(dense_spec(np.zeros(5), np.ones((5, 5))))
-        assert result.expected_max == 0.0
-        assert result.second_moment == 1.0
-        assert result.diagnostics.clamp_events == 0
-
-    def test_translation_equivariance(self):
-        base = iid_spec(4)
-        shifted = dense_spec(np.full(4, 2.5), np.eye(4))
-        assert clark_expected_max(shifted) - clark_expected_max(base) == pytest.approx(
-            2.5, rel=1e-13
-        )
+            sd = np.sqrt(np.diag(cov))
+            mean_m, second_m = 0.0, cov[0, 0]
+            corr = [cov[0, k] / (sd[0] * sd[k]) for k in range(1, n)]
+            for k in range(1, n):
+                var_m = second_m - mean_m ** 2
+                cov_mk = corr[0] * math.sqrt(var_m * cov[k, k])
+                pair = pair_moments(mean_m, var_m, 0.0, cov[k, k], cov_mk)[:2]
+                alpha = mean_m / math.sqrt(var_m + cov[k, k] - 2.0 * cov_mk)
+                sd_max = math.sqrt(pair[1] - pair[0] ** 2)
+                p1 = 0.5 * math.erfc(-alpha / math.sqrt(2.0))  # Phi(alpha)
+                p2 = 0.5 * math.erfc(alpha / math.sqrt(2.0))  # Phi(-alpha)
+                corr = [
+                    (math.sqrt(var_m) * corr[j - k] * p1
+                     + sd[k] * (cov[k, j] / (sd[k] * sd[j])) * p2) / sd_max
+                    for j in range(k + 1, n)
+                ]
+                assert all(abs(c) <= 1.0 for c in corr)
+                mean_m, second_m = pair
+            assert result.expected_max == pytest.approx(mean_m, rel=1e-12)
+            assert result.second_moment == pytest.approx(second_m, rel=1e-12)
 
     @pytest.mark.parametrize("h", [0.0013, 0.0001])
     def test_monotone_in_grid_size_for_small_hurst(self, h):
@@ -261,20 +220,18 @@ class TestRecursion:
         assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
 
     def test_fbm_spec_matches_covariance_matrix(self):
-        g = PathGrid(n_points=16, hurst=0.3)
-        spec = fbm_vector_spec(g)
-        cov = fbm_covariance_matrix(g)
-        assert spec.size == 16
-        np.testing.assert_array_equal(spec.mean, np.zeros(16))
-        np.testing.assert_allclose(spec.variance, np.diag(cov), rtol=1e-13)
-        for k in range(16):
-            np.testing.assert_allclose(spec.cross_covariance(k), cov[k, k + 1:], rtol=1e-13)
+        # the variances alone give every row: Cov(B(s), B(t)) = 0.5 (v_s + v_t - v_{t-s})
+        for h in (1e-4, 0.3, 0.9):
+            g = PathGrid(n_points=16, hurst=h)
+            v = fbm_vector_spec(g)
+            cov = fbm_covariance_matrix(g)
+            assert v.shape == (16,)
+            np.testing.assert_allclose(v, np.diag(cov), rtol=1e-13)
+            for k in range(16):
+                np.testing.assert_allclose(0.5 * (v[k] + v[k + 1:] - v[:15 - k]),
+                                           cov[k, k + 1:], rtol=1e-13)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="size"):
-            dense_spec(np.zeros(0), np.zeros((0, 0)))
-        with pytest.raises(ValueError, match="variances"):
-            GaussianVectorSpec(mean=np.zeros(3), variance=np.ones(2),
-                               cross_covariance=lambda k: np.zeros(2 - k))
-        with pytest.raises(ValueError, match="variances must be positive"):
-            run_clark_recursion(dense_spec(np.zeros(2), np.diag([1.0, 0.0])))
+        for bad in (np.zeros(0), np.array([1.0, 0.0]), np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="positive"):
+                run_clark_recursion(bad)

@@ -209,3 +209,12 @@ class TestIidLimitExperiment:
             iid_limit_samples(0, 5, 3)
         with pytest.raises(ValueError):
             iid_limit_samples(4, 1, 3)
+
+    @pytest.mark.parametrize("n_points, error", [
+        (2.5, TypeError), (True, TypeError), (2 ** 1100, ValueError)],
+        ids=["float", "bool", "above_2^1023"])
+    def test_rejects_bad_n_before_any_draw(self, monkeypatch, n_points, error):
+        # N is checked as limit_integral checks it: an integer up to 2^1023
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+        with pytest.raises(error, match="2\\^1023" if error is ValueError else "integer"):
+            iid_limit_samples(n_points, 3, 0)
