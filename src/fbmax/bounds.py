@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtri
 
-from .errors import QuadratureError
+from .errors import QuadratureError, check_hurst, check_points
 
 __all__ = [
     "BorovkovBounds",
@@ -49,23 +49,6 @@ INTEGRAL_ABS_TOL = 1e-5
 LIMIT_MAX_POINTS = 2 ** 1023
 
 
-def _check_hurst(hurst: float) -> float:
-    hurst = float(hurst)
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst!r}")
-    return hurst
-
-
-def _check_points(n: int, minimum: int = 1, maximum: int | None = None) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
-    if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
-    if maximum is not None and n > maximum:
-        raise ValueError(f"n must be <= 2^{math.log2(maximum):g}, got about 2^{math.log2(n):.6g}")
-    return int(n)
-
-
 class BorovkovBounds(NamedTuple):
     lower: float
     upper: float
@@ -88,7 +71,7 @@ def borovkov_bounds(hurst: float) -> BorovkovBounds:
 
     lower = 1/(2 sqrt(H pi e ln 2)), upper = 16.3/sqrt(H).
     """
-    hurst = _check_hurst(hurst)
+    hurst = check_hurst(hurst)
     lower = 0.5 / math.sqrt(hurst * math.pi * math.e * math.log(2.0))
     upper = 16.3 / math.sqrt(hurst)
     return BorovkovBounds(lower=lower, upper=upper)
@@ -102,8 +85,8 @@ def delta_upper_bound(n_points: int, hurst: float) -> DeltaUpperBound:
     The bound requires N >= 2^(1/H); outside that region the value is still
     returned, with ``valid`` set to False.
     """
-    n_points = _check_points(n_points, minimum=2)
-    hurst = _check_hurst(hurst)
+    n_points = check_points(n_points, minimum=2)
+    hurst = check_hurst(hurst)
     log_n = math.log(n_points)
     n_pow_h = math.exp(hurst * log_n)
     value = (2.0 * math.sqrt(log_n) / n_pow_h) * (
@@ -118,8 +101,8 @@ def sudakov_lower_bound(n_points: int, hurst: float) -> float:
 
         sqrt( ln(N+1) / (N^{2H} 2 pi ln 2) )
     """
-    n_points = _check_points(n_points)
-    hurst = _check_hurst(hurst)
+    n_points = check_points(n_points)
+    hurst = check_hurst(hurst)
     n_pow = math.exp(2.0 * hurst * math.log(n_points)) if n_points > 1 else 1.0
     return math.sqrt(math.log(n_points + 1.0) / (n_pow * _TWO_PI_LN2))
 
@@ -131,7 +114,7 @@ def sudakov_maximizer(hurst: float) -> SudakovMaximizer:
     float range; then n_star is None and the analytic maximum
     (4 H pi e ln 2)^(-1/2) is returned instead.
     """
-    hurst = _check_hurst(hurst)
+    hurst = check_hurst(hurst)
     exponent = 0.5 / hurst
     if exponent >= math.log(np.finfo(float).max):
         value = 1.0 / math.sqrt(4.0 * hurst * math.pi * math.e * math.log(2.0))
@@ -160,7 +143,7 @@ def limit_integral_quantile_form(n_points: int) -> float:
     integrand ``limit_quantile(t, N)`` on (2^-N, 1), below which it is 0, and
     adaptive Gauss-Kronrod quadrature handles it at any N.
     """
-    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
+    n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
     lower = 2.0 ** (-n_points) if n_points < 1074 else 0.0
     result = quad(limit_quantile, lower, 1.0, args=(n_points,), epsabs=1e-10,
                   epsrel=1e-10, limit=300, full_output=1)
@@ -184,7 +167,7 @@ def limit_integral_tail_form(n_points: int) -> float:
     truncation point keeps the dropped tail below ~1e-12: past it the
     integrand is under N(1 - Phi(x)) <= N phi(x)/x.
     """
-    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
+    n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
     x_max = 1.0
     while (
         n_points * math.exp(-0.5 * x_max * x_max)
@@ -208,7 +191,7 @@ def limit_integral(n_points: int) -> float:
     Equals (1/sqrt 2) E (max of N iid standard normals)^+. Both quadrature
     forms are evaluated and must agree to 1e-5; the quantile form is returned.
     """
-    n_points = _check_points(n_points)
+    n_points = check_points(n_points)
     value = limit_integral_quantile_form(n_points)
     check = limit_integral_tail_form(n_points)
     if abs(value - check) > INTEGRAL_ABS_TOL:
@@ -222,7 +205,7 @@ def limit_integral(n_points: int) -> float:
 def relative_error_lower(hurst: float) -> float:
     """Lower bound 1 - 16.765 sqrt(H) on the relative discretization error
     at N = 2^20. May be negative; returned as-is."""
-    hurst = _check_hurst(hurst)
+    hurst = check_hurst(hurst)
     return 1.0 - 16.765 * math.sqrt(hurst)
 
 
@@ -232,8 +215,8 @@ def bounds_report(n_points: int, hurst: float) -> dict[str, float | None]:
 
     ``delta_upper`` is None when N < 2^(1/H), where that bound is unproven.
     """
-    n_points = _check_points(n_points)
-    hurst = _check_hurst(hurst)
+    n_points = check_points(n_points)
+    hurst = check_hurst(hurst)
     borovkov = borovkov_bounds(hurst)
     delta_up = delta_upper_bound(n_points, hurst) if n_points >= 2 else None
     integral = limit_integral(n_points)

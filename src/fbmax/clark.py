@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import PathGrid
+from .errors import check_hurst, check_points
 
 __all__ = [
     "ClarkDiagnostics",
@@ -50,14 +50,14 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def fbm_vector_spec(grid: PathGrid) -> np.ndarray:
+def fbm_vector_spec(n_points: int, hurst: float) -> np.ndarray:
     """Variances v_i = ((i+1)/N)^{2H} of (B(1/N), ..., B(N/N)).
 
     They fix the whole covariance: Cov(B(s), B(t)) = 0.5 (v_s + v_t - v_{|t-s|}),
     and every lag |t - s| is itself a grid time.
     """
-    n = grid.n_points
-    return ((np.arange(n) + 1.0) / n) ** (2.0 * grid.hurst)
+    n = check_points(n_points)
+    return ((np.arange(n) + 1.0) / n) ** (2.0 * check_hurst(hurst))
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .bounds import (
 )
 from .clark import clark_expected_max, fbm_vector_spec
 from .errors import NumericalError
-from .fbm import PathGrid, average_second_moment
+from .fbm import average_second_moment
 from .montecarlo import (
     FunctionalKind,
     SampleSummary,
@@ -114,15 +114,14 @@ def _mc_pairs(stats: SampleSummary) -> dict[str, Any]:
 
 
 def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
-    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
     row = _cell(hurst, exponent)
     if args.method in (None, "mc"):
         row |= _mc_pairs(summarize(args.fbm_samples(exponent)[hurst][FunctionalKind.MAX]))
     if args.method in (None, "clark"):
-        if grid.n_points > CLARK_MAX_POINTS and not args.force_large_clark:
+        if 2 ** exponent > CLARK_MAX_POINTS and not args.force_large_clark:
             row |= _pair("clark", None) | {"clark_status": "skipped"}
         else:
-            value = clark_expected_max(fbm_vector_spec(grid))
+            value = clark_expected_max(fbm_vector_spec(2 ** exponent, hurst))
             row |= _pair("clark", value) | {"clark_status": "ok"}
     return [row]
 
@@ -148,12 +147,11 @@ def _table4_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 
 def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
-    grid = PathGrid(n_points=2 ** exponent, hurst=hurst)
     samples = args.fbm_samples(exponent)[hurst]
     statistics = (
         ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
         ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
-         average_second_moment(grid)),
+         average_second_moment(2 ** exponent, hurst)),
         ("max_mean", samples[FunctionalKind.MAX], borovkov_bounds(hurst).lower),
     )
     rows = []

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks that raise them."""
+
+import math
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -11,3 +15,20 @@ class EmbeddingError(NumericalError):
 
 class QuadratureError(NumericalError):
     """Numerical integration did not converge or failed a cross-check."""
+
+
+def check_hurst(hurst: float) -> float:
+    hurst = float(hurst)
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {hurst!r}")
+    return hurst
+
+
+def check_points(n: int, minimum: int = 1, maximum: int | None = None) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an integer, got {type(n).__name__}")
+    if n < minimum:
+        raise ValueError(f"n must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ValueError(f"n must be <= 2^{math.log2(maximum):g}, got about 2^{math.log2(n):.6g}")
+    return int(n)

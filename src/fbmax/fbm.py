@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError
+from .errors import EmbeddingError, check_hurst, check_points
 
 __all__ = [
-    "PathGrid",
     "CirculantSpectrum",
     "fgn_autocovariance",
     "average_second_moment",
@@ -35,38 +34,15 @@ EIGENVALUE_CLIP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PathGrid:
-    """Uniform grid t_i = i/N, i = 1..N, together with the Hurst index.
-
-    Parameters
-    ----------
-    n_points : int
-        Number of grid points N (>= 1). The grid excludes t = 0, where the
-        process is identically zero.
-    hurst : float
-        Hurst index H, strictly inside (0, 1).
-    """
-
-    n_points: int
-    hurst: float
-
-    def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 1:
-            raise ValueError(f"n_points must be a positive integer, got {self.n_points!r}")
-        if not (0.0 < self.hurst < 1.0):
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst!r}")
-
-
-@dataclass(frozen=True)
 class CirculantSpectrum:
-    """Eigenvalues of the circulant embedding for one grid.
+    """Eigenvalues of the circulant embedding for the grid of N points.
 
     ``eigenvalues`` has length ``size`` (= 2 * 2**ceil(log2 N)), is
     nonnegative after clipping, and sums to ``size * c_0`` where c_0 is the
     increment variance N**(-2H).
     """
 
-    grid: PathGrid
+    n_points: int
     size: int
     eigenvalues: np.ndarray
     n_clipped: int = 0
@@ -98,7 +74,7 @@ def fgn_autocovariance(lags: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
-def average_second_moment(grid: PathGrid) -> float:
+def average_second_moment(n_points: int, hurst: float) -> float:
     """E[(average of the path values)^2] in closed form.
 
     The average is Gaussian with mean zero and this second moment, which
@@ -108,11 +84,11 @@ def average_second_moment(grid: PathGrid) -> float:
     math.fsum so the relative error stays far below 1e-12 even for N around
     2**20.
     """
-    n = grid.n_points
-    exponent = 2.0 * grid.hurst + 1.0
-    powers = np.arange(1, n + 1, dtype=float) ** exponent
+    n = check_points(n_points)
+    hurst = check_hurst(hurst)
+    powers = np.arange(1, n + 1, dtype=float) ** (2.0 * hurst + 1.0)
     total = math.fsum(powers)
-    return float(n) ** (-(2.0 * grid.hurst + 2.0)) * total
+    return float(n) ** (-(2.0 * hurst + 2.0)) * total
 
 
 def circulant_eigenvalues(row: np.ndarray) -> np.ndarray:
@@ -124,8 +100,9 @@ def circulant_eigenvalues(row: np.ndarray) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def build_embedding(grid: PathGrid) -> CirculantSpectrum:
-    """Build the circulant embedding spectrum for the grid's increment process.
+def build_embedding(n_points: int, hurst: float) -> CirculantSpectrum:
+    """Build the circulant embedding spectrum for the increments of the fBm
+    with Hurst index H on the grid t_i = i/N, i = 1..N.
 
     The embedding size is m = 2**(1+nu) with 2**nu the smallest power of two
     >= N. The first row wraps the increment autocovariance around: c_j for
@@ -133,19 +110,20 @@ def build_embedding(grid: PathGrid) -> CirculantSpectrum:
     eps = 1e-9 * max(lambda) are clipped to zero; anything more negative
     raises EmbeddingError, since the sampled law would no longer be exact.
     """
-    n = grid.n_points
+    n = check_points(n_points)
+    hurst = check_hurst(hurst)
     nu = max(int(np.ceil(np.log2(n))), 0)
     m = 2 ** (nu + 1)
     half = m // 2
     lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
-    scale = float(n) ** (-2.0 * grid.hurst)
-    row = scale * fgn_autocovariance(lags, grid.hurst)
+    scale = float(n) ** (-2.0 * hurst)
+    row = scale * fgn_autocovariance(lags, hurst)
     eig = circulant_eigenvalues(row)
     min_raw = float(eig.min())
     clip_tol = EIGENVALUE_CLIP_RTOL * float(eig.max())
     if min_raw < -clip_tol:
         raise EmbeddingError(
-            f"circulant embedding failed for N={n}, H={grid.hurst}: "
+            f"circulant embedding failed for N={n}, H={hurst}: "
             f"minimal eigenvalue {min_raw:.6e} is below the clip window {-clip_tol:.6e}"
         )
     negative = eig < 0.0
@@ -155,7 +133,7 @@ def build_embedding(grid: PathGrid) -> CirculantSpectrum:
         eig[negative] = 0.0
     eig.setflags(write=False)
     return CirculantSpectrum(
-        grid=grid, size=m, eigenvalues=eig, n_clipped=n_clipped, min_raw_eigenvalue=min_raw
+        n_points=n, size=m, eigenvalues=eig, n_clipped=n_clipped, min_raw_eigenvalue=min_raw
     )
 
 
@@ -173,7 +151,7 @@ def _synthesise_pairs(spectrum: CirculantSpectrum, noise: np.ndarray) -> np.ndar
     because both parts are kept.
     """
     m = spectrum.size
-    n = spectrum.grid.n_points
+    n = spectrum.n_points
     weights = np.sqrt(spectrum.eigenvalues / m)
     eps = noise[:, :m] + 1j * noise[:, m:]
     transformed = np.fft.fft(weights * eps, axis=1)[:, :n]

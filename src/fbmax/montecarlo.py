@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LIMIT_MAX_POINTS, _check_points, limit_quantile
-from .fbm import PathGrid, build_embedding, _synthesise_pairs
+from .bounds import LIMIT_MAX_POINTS, limit_quantile
+from .errors import check_points
+from .fbm import build_embedding, _synthesise_pairs
 
 __all__ = [
     "FunctionalKind",
@@ -106,10 +106,8 @@ def fbm_functional_samples(
     Each chunk of normals is drawn once and synthesised for every H. Cost is
     O(n N log N) per H; peak memory stays near CHUNK_DRAW_BUDGET draws.
     """
-    n = operator.index(sample_size)
-    if n < 2:
-        raise ValueError(f"sample_size must be >= 2, got {sample_size}")
-    spectra = {h: build_embedding(PathGrid(n_points=n_points, hurst=h)) for h in hursts}
+    n = check_points(sample_size, minimum=2)
+    spectra = {h: build_embedding(n_points, h) for h in hursts}
     if not spectra:
         raise ValueError("hursts must not be empty")
     n_pairs = (n + 1) // 2
@@ -149,9 +147,8 @@ def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.n
     Replication k uses the k-th uniform of the root stream of
     ``master_seed``, so a smaller sample is a prefix of a larger one.
     """
-    n_points = _check_points(n_points, maximum=LIMIT_MAX_POINTS)
-    if sample_size < 2:
-        raise ValueError(f"sample_size must be >= 2, got {sample_size}")
+    n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
+    sample_size = check_points(sample_size, minimum=2)
     u = np.random.default_rng(master_seed).random(sample_size)
     with np.errstate(divide="ignore"):  # u = 0 gives M = -inf, clipped to 0
         return limit_quantile(u, n_points)

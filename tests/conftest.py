@@ -28,22 +28,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def fbm_covariance_matrix(grid):
+def fbm_covariance_matrix(n_points, hurst):
     """Dense covariance G[i, j] = Cov(B(t_i), B(t_j)) of the path values, t_i = i/N.
 
     G[i, j] = 0.5 (t_i^{2H} + t_j^{2H} - |t_i - t_j|^{2H}); symmetric,
     positive semidefinite, diagonal t_i^{2H}.
     """
-    t = np.arange(1, grid.n_points + 1) / grid.n_points
-    two_h = 2.0 * grid.hurst
+    t = np.arange(1, n_points + 1) / n_points
+    two_h = 2.0 * hurst
     pow_t = t ** two_h
     return 0.5 * (pow_t[:, None] + pow_t[None, :] - np.abs(t[:, None] - t[None, :]) ** two_h)
 
 
-def cholesky_oracle_paths(grid, n_paths, rng):
+def cholesky_oracle_paths(n_points, hurst, n_paths, rng):
     """Path values (n_paths, N) drawn through the dense Cholesky factor."""
-    factor = np.linalg.cholesky(fbm_covariance_matrix(grid))
-    return rng.standard_normal((n_paths, grid.n_points)) @ factor.T
+    factor = np.linalg.cholesky(fbm_covariance_matrix(n_points, hurst))
+    return rng.standard_normal((n_paths, n_points)) @ factor.T
 
 
 def _phi(z: float) -> float:

@@ -38,7 +38,7 @@ from fbmax.bounds import (
     sudakov_lower_bound,
 )
 from fbmax.clark import clark_expected_max, fbm_vector_spec, pair_moments
-from fbmax.fbm import PathGrid, _synthesise_pairs, average_second_moment, build_embedding
+from fbmax.fbm import _synthesise_pairs, average_second_moment, build_embedding
 from fbmax.montecarlo import FunctionalKind, fbm_functional_samples
 
 
@@ -48,8 +48,8 @@ def _max_samples(n_points, hursts, sample_size, seed):
     return {hurst: by_kind[FunctionalKind.MAX] for hurst, by_kind in samples.items()}
 
 
-def _circulant_paths(grid, n_paths, rng):
-    spectrum = build_embedding(grid)
+def _circulant_paths(n_points, hurst, n_paths, rng):
+    spectrum = build_embedding(n_points, hurst)
     n_pairs = (n_paths + 1) // 2
     noise = rng.standard_normal((n_pairs, 2 * spectrum.size))
     increments = _synthesise_pairs(spectrum, noise).reshape(2 * n_pairs, -1)[:n_paths]
@@ -161,16 +161,14 @@ def test_criterion_06_covariance_oracle():
     n_paths = 20000
     worst_z = 0.0
     for hurst in (0.0001, 0.1, 0.5, 0.9):
-        grid = PathGrid(n_points=64, hurst=hurst)
-        paths = _circulant_paths(grid, n_paths, np.random.default_rng(101))
+        paths = _circulant_paths(64, hurst, n_paths, np.random.default_rng(101))
         empirical = paths.T @ paths / n_paths
-        cov = fbm_covariance_matrix(grid)
+        cov = fbm_covariance_matrix(64, hurst)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n_paths)
         worst_z = max(worst_z, float(np.max(np.abs(empirical - cov) / se)))
 
-    grid = PathGrid(n_points=128, hurst=0.3)
-    mc = _circulant_paths(grid, n_paths, np.random.default_rng(202)).max(axis=1)
-    chol = cholesky_oracle_paths(grid, n_paths, np.random.default_rng(203)).max(axis=1)
+    mc = _circulant_paths(128, 0.3, n_paths, np.random.default_rng(202)).max(axis=1)
+    chol = cholesky_oracle_paths(128, 0.3, n_paths, np.random.default_rng(203)).max(axis=1)
     se = math.sqrt(mc.var(ddof=1) / mc.size + chol.var(ddof=1) / chol.size)
     sampler_z = abs(mc.mean() - chol.mean()) / se
 
@@ -207,9 +205,9 @@ def test_criterion_08_clark_recursion():
         worst = max(worst, abs(got[0] - ref[0]), abs(got[1] - ref[1]))
     pair_ok = worst <= 1e-6
 
-    cell_small = clark_expected_max(fbm_vector_spec(PathGrid(n_points=2 ** 8, hurst=0.0001)))
+    cell_small = clark_expected_max(fbm_vector_spec(2 ** 8, 0.0001))
     start = time.perf_counter()
-    cell_large = clark_expected_max(fbm_vector_spec(PathGrid(n_points=2 ** 10, hurst=0.09)))
+    cell_large = clark_expected_max(fbm_vector_spec(2 ** 10, 0.09))
     elapsed = time.perf_counter() - start
     dev_small = abs(cell_small - 1.9839) / 1.9839
 
@@ -235,19 +233,17 @@ def test_criterion_08_clark_recursion():
 
 
 def test_criterion_09_average_functional():
-    grid = PathGrid(n_points=2 ** 12, hurst=0.01)
     samples = fbm_functional_samples(2 ** 12, [0.01], 1000, 303)[0.01][FunctionalKind.AVERAGE]
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     z_mean = samples.mean() / se
     squares = samples ** 2
     se_sq = squares.std(ddof=1) / math.sqrt(squares.size)
-    z_second = (squares.mean() - average_second_moment(grid)) / se_sq
+    z_second = (squares.mean() - average_second_moment(2 ** 12, 0.01)) / se_sq
 
     worst_rel = 0.0
     for n_points, hurst in [(2, 0.3), (17, 0.01), (128, 0.5), (512, 0.0013)]:
-        g = PathGrid(n_points=n_points, hurst=hurst)
-        brute = fbm_covariance_matrix(g).sum() / n_points ** 2
-        worst_rel = max(worst_rel, abs(average_second_moment(g) / brute - 1.0))
+        brute = fbm_covariance_matrix(n_points, hurst).sum() / n_points ** 2
+        worst_rel = max(worst_rel, abs(average_second_moment(n_points, hurst) / brute - 1.0))
 
     ok = abs(z_mean) <= 1.96 and abs(z_second) <= 1.96 and worst_rel <= 1e-10
     assert record_criterion(

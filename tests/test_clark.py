@@ -12,7 +12,6 @@ from fbmax.clark import (
     pair_moments,
     run_clark_recursion,
 )
-from fbmax.fbm import PathGrid
 
 # (mean1, var1, mean2, var2, cov) -> (E max, E max^2); frozen from the
 # kink-split nested quadrature oracle, which was cross-checked against an
@@ -125,9 +124,8 @@ class TestCorrelationUpdate:
 
 class TestRecursion:
     def test_two_point_vector_equals_pair_formula(self):
-        g = PathGrid(n_points=2, hurst=0.3)
-        cov = fbm_covariance_matrix(g)
-        result = run_clark_recursion(fbm_vector_spec(g))
+        cov = fbm_covariance_matrix(2, 0.3)
+        result = run_clark_recursion(fbm_vector_spec(2, 0.3))
         ref = pair_moments(0.0, cov[0, 0], 0.0, cov[1, 1], cov[0, 1])
         assert result.expected_max == pytest.approx(ref[0], rel=1e-14)
         assert result.second_moment == pytest.approx(ref[1], rel=1e-14)
@@ -137,9 +135,8 @@ class TestRecursion:
         # from the dense covariance, the pair moments and Clark's correlation formula
         n = 6
         for h in (1e-4, 0.09, 0.5, 0.9):
-            grid = PathGrid(n_points=n, hurst=h)
-            cov = fbm_covariance_matrix(grid)
-            result = run_clark_recursion(fbm_vector_spec(grid))
+            cov = fbm_covariance_matrix(n, h)
+            result = run_clark_recursion(fbm_vector_spec(n, h))
 
             sd = np.sqrt(np.diag(cov))
             mean_m, second_m = 0.0, cov[0, 0]
@@ -165,7 +162,7 @@ class TestRecursion:
     @pytest.mark.parametrize("h", [0.0013, 0.0001])
     def test_monotone_in_grid_size_for_small_hurst(self, h):
         values = [
-            clark_expected_max(fbm_vector_spec(PathGrid(n_points=2 ** k, hurst=h)))
+            clark_expected_max(fbm_vector_spec(2 ** k, h))
             for k in range(5, 10)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -179,7 +176,7 @@ class TestRecursion:
         ],
     )
     def test_regression_values(self, n, h, expected):
-        value = clark_expected_max(fbm_vector_spec(PathGrid(n_points=n, hurst=h)))
+        value = clark_expected_max(fbm_vector_spec(n, h))
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_error_against_exact_random_walk_maximum(self):
@@ -190,7 +187,7 @@ class TestRecursion:
         for exponent, expected in [(6, 8.72), (8, 11.19), (10, 13.23), (12, 14.92)]:
             n = 2 ** exponent
             spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
-            result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=n, hurst=0.5)))
+            result = run_clark_recursion(fbm_vector_spec(n, 0.5))
             errors.append(100.0 * (result.expected_max / spitzer - 1.0))
             assert errors[-1] == pytest.approx(expected, abs=0.05)
             assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
@@ -200,7 +197,7 @@ class TestRecursion:
     def test_exact_at_two_points(self, h):
         # E max(X, Y) = sd(X - Y) phi(0) for a centred pair, and
         # sd(B(1) - B(1/2)) = (1/2)^H; Clark's single step is exact
-        result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=2, hurst=h)))
+        result = run_clark_recursion(fbm_vector_spec(2, h))
         assert result.expected_max == pytest.approx(0.5 ** h / math.sqrt(2.0 * math.pi),
                                                     rel=1e-15)
         assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
@@ -215,16 +212,15 @@ class TestRecursion:
         # s_ij the sd of x_i - x_j, here |t_i - t_j|^H on t = 1/3, 2/3, 1.
         # Clark overshoots it by a percentage that is not monotone in H.
         exact = (2.0 * (1.0 / 3.0) ** h + (2.0 / 3.0) ** h) / (2.0 * math.sqrt(2.0 * math.pi))
-        result = run_clark_recursion(fbm_vector_spec(PathGrid(n_points=3, hurst=h)))
+        result = run_clark_recursion(fbm_vector_spec(3, h))
         assert 100.0 * (result.expected_max / exact - 1.0) == pytest.approx(excess, abs=0.005)
         assert result.diagnostics == ClarkDiagnostics(clamp_events=0, degenerate_events=0)
 
     def test_fbm_spec_matches_covariance_matrix(self):
         # the variances alone give every row: Cov(B(s), B(t)) = 0.5 (v_s + v_t - v_{t-s})
         for h in (1e-4, 0.3, 0.9):
-            g = PathGrid(n_points=16, hurst=h)
-            v = fbm_vector_spec(g)
-            cov = fbm_covariance_matrix(g)
+            v = fbm_vector_spec(16, h)
+            cov = fbm_covariance_matrix(16, h)
             assert v.shape == (16,)
             np.testing.assert_allclose(v, np.diag(cov), rtol=1e-13)
             for k in range(16):

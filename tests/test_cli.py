@@ -16,7 +16,6 @@ from fbmax.bounds import borovkov_bounds, limit_integral, sudakov_lower_bound
 from fbmax.clark import clark_expected_max, fbm_vector_spec
 from fbmax.cli import default_hurst_grid, main
 from fbmax.errors import QuadratureError
-from fbmax.fbm import PathGrid
 from fbmax.montecarlo import fbm_functional_samples, iid_limit_samples
 
 
@@ -151,7 +150,7 @@ class TestTable1:
         assert code == 0
         row = read_csv(out)[0]
         assert row["clark_status"] == "ok"
-        expected = clark_expected_max(fbm_vector_spec(PathGrid(n_points=256, hurst=0.09)))
+        expected = clark_expected_max(fbm_vector_spec(256, 0.09))
         assert float(row["clark"]) == pytest.approx(expected, rel=1e-12)
         assert abs(float(row["mc_mean"]) - expected) < 6.0 * float(row["mc_se"])
 
@@ -175,7 +174,7 @@ class TestTable1:
         assert code == 0
         row = read_csv(out)[0]
         assert row["clark_status"] == "ok"
-        expected = clark_expected_max(fbm_vector_spec(PathGrid(n_points=128, hurst=0.09)))
+        expected = clark_expected_max(fbm_vector_spec(128, 0.09))
         assert float(row["clark"]) == expected
 
 

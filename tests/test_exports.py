@@ -62,3 +62,18 @@ def test_every_export_is_used_by_the_package():
     used = set().union(*(_names_loaded(path) for path in package.glob("*.py")))
     unused = [f"{m}.{n}" for m, n in EXPORTS if n not in used]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # fbm._synthesise_pairs is the one exception: the benchmark's span layer
+    # patches it by that name in montecarlo
+    allowed = {("montecarlo", "fbm", "_synthesise_pairs")}
+    package = Path(fbmax.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fbmax")):
+                source = (node.module or "").rpartition(".")[2]
+                private += [(path.stem, source, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert set(private) <= allowed, private

@@ -9,7 +9,6 @@ import fbmax.fbm as fbm
 from conftest import cholesky_oracle_paths, fbm_covariance_matrix
 from fbmax.errors import EmbeddingError
 from fbmax.fbm import (
-    PathGrid,
     _synthesise_pairs,
     build_embedding,
     circulant_eigenvalues,
@@ -24,34 +23,31 @@ def unit_autocov_oracle(lag, hurst):
         return float(0.5 * ((j - 1) ** (2 * h) - 2 * j ** (2 * h) + (j + 1) ** (2 * h)))
 
 
-def increment_covariance(lags, grid):
+def increment_covariance(lags, n_points, hurst):
     """Covariance of the grid increments at the given lags: the unit-spacing
     kernel scaled by N^(-2H), as build_embedding scales it."""
-    return float(grid.n_points) ** (-2.0 * grid.hurst) * fgn_autocovariance(lags, grid.hurst)
+    return float(n_points) ** (-2.0 * hurst) * fgn_autocovariance(lags, hurst)
 
 
-class TestPathGrid:
+class TestGridArguments:
     @pytest.mark.parametrize("n,h", [(0, 0.5), (-3, 0.5), (8, 0.0), (8, 1.0), (8, -0.1)])
     def test_rejects_bad_arguments(self, n, h):
         with pytest.raises((ValueError, TypeError)):
-            PathGrid(n_points=n, hurst=h)
+            build_embedding(n, h)
 
     def test_accepts_numpy_integer(self):
-        g = PathGrid(n_points=np.int64(16), hurst=0.5)
-        assert g.n_points == 16
+        assert build_embedding(np.int64(16), 0.5).n_points == 16
 
 
 class TestAutocovariance:
     def test_lag_zero_is_increment_variance(self):
         for n, h in [(2, 0.1), (256, 0.0001), (1000, 0.9)]:
-            g = PathGrid(n_points=n, hurst=h)
-            variance = increment_covariance([0], g)[0]
+            variance = increment_covariance([0], n, h)[0]
             assert variance == pytest.approx(float(n) ** (-2 * h), rel=1e-14)
 
     def test_lag_one_half_hurst_two_points(self):
         # H=1, N=2: Cov of the two halves of a straight-line process is 1/4
-        g = PathGrid(n_points=2, hurst=0.999999999999)
-        assert increment_covariance([1], g)[0] == pytest.approx(0.25, rel=1e-9)
+        assert increment_covariance([1], 2, 0.999999999999)[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_brownian_increments_uncorrelated(self):
         values = fgn_autocovariance(np.arange(1, 64), 0.5)
@@ -82,23 +78,20 @@ class TestAutocovariance:
     @pytest.mark.parametrize("n", [4, 64, 333])
     def test_increments_sum_to_unit_variance(self, h, n):
         # Var B(1) = sum over all pairs of increment covariances = 1
-        g = PathGrid(n_points=n, hurst=h)
-        cov = toeplitz(increment_covariance(np.arange(n), g))
+        cov = toeplitz(increment_covariance(np.arange(n), n, h))
         assert cov.sum() == pytest.approx(1.0, rel=1e-11)
 
 
 class TestCovarianceMatrix:
     def test_brownian_case_is_min(self):
-        g = PathGrid(n_points=16, hurst=0.5)
         t = np.arange(1, 17) / 16
         np.testing.assert_allclose(
-            fbm_covariance_matrix(g), np.minimum.outer(t, t), rtol=1e-14
+            fbm_covariance_matrix(16, 0.5), np.minimum.outer(t, t), rtol=1e-14
         )
 
     @pytest.mark.parametrize("h", [0.0001, 0.2, 0.8])
     def test_diagonal_and_psd(self, h):
-        g = PathGrid(n_points=32, hurst=h)
-        cov = fbm_covariance_matrix(g)
+        cov = fbm_covariance_matrix(32, h)
         t = np.arange(1, 33) / 32
         np.testing.assert_allclose(np.diag(cov), t ** (2 * h), rtol=1e-13)
         np.testing.assert_allclose(cov, cov.T, rtol=1e-15)
@@ -107,19 +100,18 @@ class TestCovarianceMatrix:
     @pytest.mark.parametrize("h", [0.0001, 0.3, 0.9])
     def test_differencing_recovers_increment_covariance(self, h):
         n = 64
-        g = PathGrid(n_points=n, hurst=h)
         diff = np.eye(n) - np.eye(n, k=-1)
-        from_paths = diff @ fbm_covariance_matrix(g) @ diff.T
-        target = toeplitz(increment_covariance(np.arange(n), g))
+        from_paths = diff @ fbm_covariance_matrix(n, h) @ diff.T
+        target = toeplitz(increment_covariance(np.arange(n), n, h))
         np.testing.assert_allclose(from_paths, target, rtol=1e-8, atol=1e-15)
 
 
 class TestEmbedding:
     def test_sizes(self):
-        assert build_embedding(PathGrid(n_points=8, hurst=0.3)).size == 16
-        assert build_embedding(PathGrid(n_points=5, hurst=0.3)).size == 16
-        assert build_embedding(PathGrid(n_points=9, hurst=0.3)).size == 32
-        assert build_embedding(PathGrid(n_points=1, hurst=0.3)).size == 2
+        assert build_embedding(8, 0.3).size == 16
+        assert build_embedding(5, 0.3).size == 16
+        assert build_embedding(9, 0.3).size == 32
+        assert build_embedding(1, 0.3).size == 2
 
     def test_constant_row_spectrum(self):
         eig = circulant_eigenvalues(np.full(8, 0.7))
@@ -127,17 +119,17 @@ class TestEmbedding:
         np.testing.assert_allclose(eig[1:], np.zeros(7), atol=1e-14)
 
     def test_brownian_spectrum_is_flat(self):
-        spec = build_embedding(PathGrid(n_points=4, hurst=0.5))
+        spec = build_embedding(4, 0.5)
         np.testing.assert_allclose(spec.eigenvalues, np.full(8, 0.25), rtol=1e-14)
 
     @pytest.mark.parametrize("h", [0.0001, 0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n", [4, 16])
     def test_against_dense_eigensolver(self, h, n):
-        spec = build_embedding(PathGrid(n_points=n, hurst=h))
+        spec = build_embedding(n, h)
         m = spec.size
         half = m // 2
         lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
-        row = increment_covariance(lags, PathGrid(n_points=n, hurst=h))
+        row = increment_covariance(lags, n, h)
         dense = np.empty((m, m))
         for i in range(m):
             dense[i] = np.roll(row, i)
@@ -148,14 +140,13 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("h,n", [(0.0001, 256), (0.3, 100), (0.9, 64)])
     def test_trace_identity(self, h, n):
-        g = PathGrid(n_points=n, hurst=h)
-        spec = build_embedding(g)
+        spec = build_embedding(n, h)
         assert spec.eigenvalues.sum() == pytest.approx(
-            spec.size * increment_covariance([0], g)[0], rel=1e-11
+            spec.size * increment_covariance([0], n, h)[0], rel=1e-11
         )
 
     def test_spectrum_is_read_only(self):
-        spec = build_embedding(PathGrid(n_points=8, hurst=0.3))
+        spec = build_embedding(8, 0.3)
         with pytest.raises(ValueError):
             spec.eigenvalues[0] = 0.0
 
@@ -168,7 +159,7 @@ class TestEmbedding:
             return eig
 
         monkeypatch.setattr(fbm, "circulant_eigenvalues", with_tiny_negative)
-        spec = build_embedding(PathGrid(n_points=8, hurst=0.3))
+        spec = build_embedding(8, 0.3)
         assert spec.n_clipped == 1
         assert spec.min_raw_eigenvalue < 0.0
         assert spec.eigenvalues.min() == 0.0
@@ -183,13 +174,13 @@ class TestEmbedding:
 
         monkeypatch.setattr(fbm, "circulant_eigenvalues", with_large_negative)
         with pytest.raises(EmbeddingError, match="minimal eigenvalue"):
-            build_embedding(PathGrid(n_points=8, hurst=0.3))
+            build_embedding(8, 0.3)
 
 
 class TestSampling:
     def test_pair_shape_and_determinism(self):
         # N = 5 pads the embedding to 16 points; only the first N are kept
-        spec = build_embedding(PathGrid(n_points=5, hurst=0.3))
+        spec = build_embedding(5, 0.3)
         noise = np.random.default_rng(42).standard_normal((3, 2 * spec.size))
         a = _synthesise_pairs(spec, noise)
         assert a.shape == (3, 2, 5)
@@ -203,13 +194,12 @@ class TestSampling:
         # empirical covariance of 2e5 synthesised pairs vs the target Toeplitz
         # matrix, elementwise within 5 standard errors (seed rehearsed)
         n = 8
-        g = PathGrid(n_points=n, hurst=h)
-        spec = build_embedding(g)
+        spec = build_embedding(n, h)
         rng = np.random.default_rng(1234)
         noise = rng.standard_normal((100_000, 2 * spec.size))
         incs = _synthesise_pairs(spec, noise)
         flat = incs.reshape(-1, n)
-        target = toeplitz(increment_covariance(np.arange(n), g))
+        target = toeplitz(increment_covariance(np.arange(n), n, h))
         emp = flat.T @ flat / flat.shape[0]
         diag = np.diag(target)
         se = np.sqrt((np.outer(diag, diag) + target ** 2) / flat.shape[0])
@@ -220,8 +210,7 @@ class TestSampling:
         assert np.all(np.abs(cross) < 5.0 * se_cross)
 
     def test_terminal_value_has_unit_variance(self):
-        g = PathGrid(n_points=64, hurst=0.1)
-        spec = build_embedding(g)
+        spec = build_embedding(64, 0.1)
         noise = np.random.default_rng(77).standard_normal((50_000, 2 * spec.size))
         paths = np.cumsum(_synthesise_pairs(spec, noise).reshape(-1, 64), axis=1)
         variance = paths[:, -1].var(ddof=1)
@@ -231,18 +220,16 @@ class TestSampling:
 
 class TestCholeskyOracle:
     def test_sampled_covariance(self):
-        g = PathGrid(n_points=32, hurst=0.2)
-        target = fbm_covariance_matrix(g)
-        paths = cholesky_oracle_paths(g, 40_000, np.random.default_rng(5))
+        target = fbm_covariance_matrix(32, 0.2)
+        paths = cholesky_oracle_paths(32, 0.2, 40_000, np.random.default_rng(5))
         emp = paths.T @ paths / paths.shape[0]
         diag = np.diag(target)
         se = np.sqrt((np.outer(diag, diag) + target ** 2) / paths.shape[0])
         assert np.all(np.abs(emp - target) < 5.0 * se)
 
     def test_circulant_agrees_with_analytic_covariance(self):
-        g = PathGrid(n_points=32, hurst=0.2)
-        target = fbm_covariance_matrix(g)
-        spec = build_embedding(g)
+        target = fbm_covariance_matrix(32, 0.2)
+        spec = build_embedding(32, 0.2)
         noise = np.random.default_rng(6).standard_normal((20_000, 2 * spec.size))
         paths = np.cumsum(_synthesise_pairs(spec, noise).reshape(-1, 32), axis=1)
         emp = paths.T @ paths / paths.shape[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fbm_covariance_matrix
-from fbmax.fbm import PathGrid, average_second_moment
+from fbmax.fbm import average_second_moment
 from fbmax.montecarlo import REDUCTIONS, FunctionalKind
 
 MAX = REDUCTIONS[FunctionalKind.MAX]
@@ -31,7 +31,7 @@ class TestFunctionals:
 class TestAverageSecondMoment:
     def test_two_point_brownian_value(self):
         # E[((B(1/2) + B(1))/2)^2] = (1/4)(1/2 + 2*(1/2) + 1) = 5/8
-        assert average_second_moment(PathGrid(n_points=2, hurst=0.5)) == pytest.approx(
+        assert average_second_moment(2, 0.5) == pytest.approx(
             5.0 / 8.0, rel=1e-15
         )
 
@@ -40,15 +40,14 @@ class TestAverageSecondMoment:
     def test_against_covariance_double_sum(self, h, n):
         # independent route: E[(mean of path values)^2] = mean of the full
         # covariance matrix
-        g = PathGrid(n_points=n, hurst=h)
-        oracle = fbm_covariance_matrix(g).sum() / n ** 2
-        assert average_second_moment(g) == pytest.approx(oracle, rel=1e-10)
+        oracle = fbm_covariance_matrix(n, h).sum() / n ** 2
+        assert average_second_moment(n, h) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("h", [0.0001, 0.25, 0.5, 0.9])
     def test_decreases_to_limit(self, h):
         limit = 1.0 / (2.0 * h + 2.0)  # the large-N limit of the second moment
         gaps = [
-            average_second_moment(PathGrid(n_points=2 ** k, hurst=h)) - limit
+            average_second_moment(2 ** k, h) - limit
             for k in range(3, 11)
         ]
         assert all(g > 0 for g in gaps)
@@ -57,6 +56,6 @@ class TestAverageSecondMoment:
     def test_limit_values(self):
         # at H = 1/2 the moment is (N+1)(2N+1)/(6N^2), which tends to 1/3
         for n in (2 ** 4, 2 ** 10, 2 ** 16):
-            moment = average_second_moment(PathGrid(n_points=n, hurst=0.5))
+            moment = average_second_moment(n, 0.5)
             assert moment == pytest.approx((n + 1) * (2 * n + 1) / (6 * n * n), rel=1e-13)
         assert moment == pytest.approx(1.0 / 3.0, abs=1e-4)

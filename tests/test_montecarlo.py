@@ -7,6 +7,8 @@ from scipy.special import log_ndtr
 
 import fbmax.montecarlo
 from fbmax.bounds import limit_integral
+from fbmax.clark import fbm_vector_spec
+from fbmax.fbm import average_second_moment, build_embedding
 from fbmax.montecarlo import (
     FunctionalKind,
     SampleSummary,
@@ -87,6 +89,31 @@ class TestExperimentConfig:
             fbm_functional_samples(4, [], 2, 0)
         with pytest.raises(ValueError):
             fbm_functional_samples(4, [0.5, 1.5], 2, 0)
+
+
+@pytest.mark.parametrize("n_points", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("compute", [
+    build_embedding, fbm_vector_spec, average_second_moment,
+    lambda n, h: fbm_functional_samples(n, [h], 4, 0),
+], ids=["build_embedding", "fbm_vector_spec", "average_second_moment", "fbm_samples"])
+def test_grid_size_must_be_an_integer(monkeypatch, compute, n_points):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(TypeError, match="must be an integer"):
+        compute(n_points, 0.5)
+
+
+@pytest.mark.parametrize("sample_size, error", [
+    (2.5, TypeError), (True, TypeError), (1, ValueError)], ids=["float", "bool", "one"])
+@pytest.mark.parametrize("sampler", [
+    lambda size: fbm_functional_samples(8, [0.5], size, 0),
+    lambda size: iid_limit_samples(8, size, 0),
+], ids=["fbm", "iid"])
+def test_sample_size_is_checked_before_any_work(monkeypatch, sampler, sample_size, error):
+    # both samplers check it alike, before an embedding or a replication stream
+    monkeypatch.setattr(fbmax.montecarlo, "build_embedding", lambda *a: pytest.fail("embedded"))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(error):
+        sampler(sample_size)
 
 
 class TestFbmExperiment:
