@@ -24,11 +24,12 @@ def check_hurst(hurst: float) -> float:
     return hurst
 
 
-def check_points(n: int, minimum: int = 1, maximum: int | None = None) -> int:
+def check_points(n: int, minimum: int = 1, maximum: int | None = None, name: str = "n") -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
     if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
     if maximum is not None and n > maximum:
-        raise ValueError(f"n must be <= 2^{math.log2(maximum):g}, got about 2^{math.log2(n):.6g}")
+        raise ValueError(
+            f"{name} must be <= 2^{math.log2(maximum):g}, got about 2^{math.log2(n):.6g}")
     return int(n)

@@ -142,20 +142,20 @@ def build_embedding(n_points: int, hurst: float) -> CirculantSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _synthesise_pairs(spectrum: CirculantSpectrum, noise: np.ndarray) -> np.ndarray:
+def _synthesise_pairs(
+    spectrum: CirculantSpectrum, noise: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Turn standard normal noise of shape (k, 2m) into increments (k, 2, N).
 
     Each row supplies one complex Gaussian vector (real parts first, then
-    imaginary). One FFT gives a complex vector whose real and imaginary parts
-    are two independent fGn draws; no Hermitian symmetrisation is needed
-    because both parts are kept.
+    imaginary), weighted and transformed in place in ``out``, shape (k, m).
+    One FFT gives two independent fGn draws in its real and imaginary parts;
+    no Hermitian symmetrisation is needed because both are kept. The
+    increments returned are a view of ``out``.
     """
     m = spectrum.size
-    n = spectrum.n_points
-    weights = np.sqrt(spectrum.eigenvalues / m)
-    eps = noise[:, :m] + 1j * noise[:, m:]
-    transformed = np.fft.fft(weights * eps, axis=1)[:, :n]
-    out = np.empty((noise.shape[0], 2, n))
-    out[:, 0, :] = transformed.real
-    out[:, 1, :] = transformed.imag
-    return out
+    out.real = noise[:, :m]
+    out.imag = noise[:, m:]
+    out *= np.sqrt(spectrum.eigenvalues / m)
+    np.fft.fft(out, axis=1, out=out)
+    return out.view(float).reshape(len(out), m, 2)[:, :spectrum.n_points].transpose(0, 2, 1)

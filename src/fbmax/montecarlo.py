@@ -33,7 +33,8 @@ __all__ = [
 
 #: Normal-approximation quantile for 95% confidence intervals.
 CI95_QUANTILE = 1.96
-#: Per-chunk budget of normal draws, bounding memory for many replications.
+#: Per-chunk budget of normal draws, bounding memory for many replications;
+#: with their complex transform and the paths, a chunk takes 2.5 times their bytes.
 CHUNK_DRAW_BUDGET = 2 ** 22
 
 
@@ -103,39 +104,37 @@ def fbm_functional_samples(
 ) -> dict[float, dict[FunctionalKind, np.ndarray]]:
     """One sample of every functional per replication, keyed by H, then kind.
 
-    Each chunk of normals is drawn once and synthesised for every H. Cost is
-    O(n N log N) per H; peak memory stays near CHUNK_DRAW_BUDGET draws.
+    Each chunk of normals is drawn once and synthesised for every H into three
+    buffers that every chunk and H reuse: the normals, their complex transform
+    and the paths. Cost is O(n N log N) per H; peak memory stays near 2.5 times
+    the bytes of CHUNK_DRAW_BUDGET draws.
     """
-    n = check_points(sample_size, minimum=2)
+    n = check_points(sample_size, minimum=2, name="sample_size")
     spectra = {h: build_embedding(n_points, h) for h in hursts}
     if not spectra:
         raise ValueError("hursts must not be empty")
+    m, n_grid = next((s.size, s.n_points) for s in spectra.values())  # N alone sets them
     n_pairs = (n + 1) // 2
-    draws_per_pair = 2 * next(iter(spectra.values())).size  # the size depends on N alone
-    pairs_per_chunk = max(1, CHUNK_DRAW_BUDGET // draws_per_pair)
+    pairs_per_chunk = min(n_pairs, max(1, CHUNK_DRAW_BUDGET // (2 * m)))
+    noise = np.empty((pairs_per_chunk, 2 * m))
+    fourier = np.empty((pairs_per_chunk, m), dtype=complex)
+    paths = np.empty((2 * pairs_per_chunk, n_grid))
 
     out = {h: {kind: np.empty(n) for kind in FunctionalKind} for h in spectra}
     done = 0
     for chunk_start in range(0, n_pairs, pairs_per_chunk):
         chunk = min(pairs_per_chunk, n_pairs - chunk_start)
-        noise = np.empty((chunk, draws_per_pair))
         for row in range(chunk):
-            rng = replication_rng(master_seed, chunk_start + row)
-            noise[row] = rng.standard_normal(draws_per_pair)
+            replication_rng(master_seed, chunk_start + row).standard_normal(out=noise[row])
         take = min(2 * chunk, n - done)
         for h, spectrum in spectra.items():
-            _reduce_chunk(spectrum, noise, take, out[h], done)
+            increments = _synthesise_pairs(spectrum, noise[:chunk], fourier[:chunk])
+            # row 2r of paths is the real part of pair r, row 2r + 1 its imaginary part
+            np.cumsum(increments, axis=2, out=paths[:2 * chunk].reshape(chunk, 2, n_grid))
+            for kind, values in out[h].items():
+                values[done:done + take] = REDUCTIONS[kind](paths[:take])
         done += take
     return out
-
-
-def _reduce_chunk(spectrum, noise, take, out, done) -> None:
-    """Reduce one chunk's first ``take`` paths at one H into ``out[kind][done:]``,
-    in a function of its own so they are freed before the next H's synthesis."""
-    increments = _synthesise_pairs(spectrum, noise).reshape(2 * noise.shape[0], -1)
-    paths = np.cumsum(increments[:take], axis=1)
-    for kind, values in out.items():
-        values[done:done + take] = REDUCTIONS[kind](paths)
 
 
 def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.ndarray:
@@ -148,7 +147,7 @@ def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.n
     ``master_seed``, so a smaller sample is a prefix of a larger one.
     """
     n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
-    sample_size = check_points(sample_size, minimum=2)
+    sample_size = check_points(sample_size, minimum=2, name="sample_size")
     u = np.random.default_rng(master_seed).random(sample_size)
     with np.errstate(divide="ignore"):  # u = 0 gives M = -inf, clipped to 0
         return limit_quantile(u, n_points)

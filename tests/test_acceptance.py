@@ -52,7 +52,8 @@ def _circulant_paths(n_points, hurst, n_paths, rng):
     spectrum = build_embedding(n_points, hurst)
     n_pairs = (n_paths + 1) // 2
     noise = rng.standard_normal((n_pairs, 2 * spectrum.size))
-    increments = _synthesise_pairs(spectrum, noise).reshape(2 * n_pairs, -1)[:n_paths]
+    fourier = np.empty((n_pairs, spectrum.size), complex)
+    increments = _synthesise_pairs(spectrum, noise, fourier).reshape(2 * n_pairs, -1)[:n_paths]
     return np.cumsum(increments, axis=1)
 
 

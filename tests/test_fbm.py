@@ -23,6 +23,20 @@ def unit_autocov_oracle(lag, hurst):
         return float(0.5 * ((j - 1) ** (2 * h) - 2 * j ** (2 * h) + (j + 1) ** (2 * h)))
 
 
+def synthesise(spectrum, noise):
+    """Increments of the noise, synthesised in a fresh complex buffer."""
+    return _synthesise_pairs(spectrum, noise, np.empty((len(noise), spectrum.size), complex))
+
+
+def out_of_place_synthesis(spectrum, noise):
+    """The synthesis as one expression, each step in a new array."""
+    m = spectrum.size
+    weights = np.sqrt(spectrum.eigenvalues / m)
+    transformed = np.fft.fft(weights * (noise[:, :m] + 1j * noise[:, m:]), axis=1)
+    transformed = transformed[:, :spectrum.n_points]
+    return np.stack([transformed.real, transformed.imag], axis=1)
+
+
 def increment_covariance(lags, n_points, hurst):
     """Covariance of the grid increments at the given lags: the unit-spacing
     kernel scaled by N^(-2H), as build_embedding scales it."""
@@ -177,16 +191,26 @@ class TestEmbedding:
             build_embedding(8, 0.3)
 
 
+def assert_bit_equal_to_out_of_place(spectrum):
+    noise = np.random.default_rng(spectrum.size).standard_normal((3, 2 * spectrum.size))
+    buffer = np.full((3, spectrum.size), complex(np.nan, np.nan))  # a stale read would show
+    got = _synthesise_pairs(spectrum, noise, buffer)
+    assert np.shares_memory(got, buffer)
+    want = out_of_place_synthesis(spectrum, noise)
+    # compare the bits, so that a zero of the other sign fails too
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+
 class TestSampling:
     def test_pair_shape_and_determinism(self):
         # N = 5 pads the embedding to 16 points; only the first N are kept
         spec = build_embedding(5, 0.3)
         noise = np.random.default_rng(42).standard_normal((3, 2 * spec.size))
-        a = _synthesise_pairs(spec, noise)
+        a = synthesise(spec, noise)
         assert a.shape == (3, 2, 5)
-        np.testing.assert_array_equal(a, _synthesise_pairs(spec, noise.copy()))
+        np.testing.assert_array_equal(a, synthesise(spec, noise.copy()))
         # each row is synthesised from its own noise alone
-        np.testing.assert_array_equal(a[1], _synthesise_pairs(spec, noise[1:2])[0])
+        np.testing.assert_array_equal(a[1], synthesise(spec, noise[1:2])[0])
         assert not np.array_equal(a[0], a[1])
 
     @pytest.mark.parametrize("h", [0.0001, 0.3, 0.5, 0.9])
@@ -197,7 +221,7 @@ class TestSampling:
         spec = build_embedding(n, h)
         rng = np.random.default_rng(1234)
         noise = rng.standard_normal((100_000, 2 * spec.size))
-        incs = _synthesise_pairs(spec, noise)
+        incs = synthesise(spec, noise)
         flat = incs.reshape(-1, n)
         target = toeplitz(increment_covariance(np.arange(n), n, h))
         emp = flat.T @ flat / flat.shape[0]
@@ -209,10 +233,29 @@ class TestSampling:
         se_cross = np.sqrt(np.outer(diag, diag) / incs.shape[0])
         assert np.all(np.abs(cross) < 5.0 * se_cross)
 
+    @pytest.mark.parametrize("h", [0.0001, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 5, 2 ** 10])
+    def test_in_place_synthesis_is_bit_equal_to_out_of_place(self, n, h):
+        assert_bit_equal_to_out_of_place(build_embedding(n, h))
+
+    def test_in_place_synthesis_with_clipped_eigenvalues(self, monkeypatch):
+        # a clipped eigenvalue weights its noise by a zero
+        real = circulant_eigenvalues
+
+        def with_tiny_negatives(row):
+            eig = real(row)
+            eig[1::3] = -0.5 * fbm.EIGENVALUE_CLIP_RTOL * eig.max()
+            return eig
+
+        monkeypatch.setattr(fbm, "circulant_eigenvalues", with_tiny_negatives)
+        spec = build_embedding(16, 0.3)
+        assert spec.n_clipped == 11
+        assert_bit_equal_to_out_of_place(spec)
+
     def test_terminal_value_has_unit_variance(self):
         spec = build_embedding(64, 0.1)
         noise = np.random.default_rng(77).standard_normal((50_000, 2 * spec.size))
-        paths = np.cumsum(_synthesise_pairs(spec, noise).reshape(-1, 64), axis=1)
+        paths = np.cumsum(synthesise(spec, noise).reshape(-1, 64), axis=1)
         variance = paths[:, -1].var(ddof=1)
         se = math.sqrt(2.0 / paths.shape[0])
         assert abs(variance - 1.0) < 5.0 * se
@@ -231,7 +274,7 @@ class TestCholeskyOracle:
         target = fbm_covariance_matrix(32, 0.2)
         spec = build_embedding(32, 0.2)
         noise = np.random.default_rng(6).standard_normal((20_000, 2 * spec.size))
-        paths = np.cumsum(_synthesise_pairs(spec, noise).reshape(-1, 32), axis=1)
+        paths = np.cumsum(synthesise(spec, noise).reshape(-1, 32), axis=1)
         emp = paths.T @ paths / paths.shape[0]
         diag = np.diag(target)
         se = np.sqrt((np.outer(diag, diag) + target ** 2) / paths.shape[0])

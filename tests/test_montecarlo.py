@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_sample_size_is_checked_before_any_work(monkeypatch, sampler, sample_siz
     # both samplers check it alike, before an embedding or a replication stream
     monkeypatch.setattr(fbmax.montecarlo, "build_embedding", lambda *a: pytest.fail("embedded"))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
-    with pytest.raises(error):
+    with pytest.raises(error, match="sample_size"):
         sampler(sample_size)
 
 
@@ -142,6 +143,22 @@ class TestFbmExperiment:
             alone = fbm_functional_samples(32, [hurst], 13, 7)[hurst]
             for kind in FunctionalKind:
                 np.testing.assert_array_equal(shared[hurst][kind], alone[kind])
+
+    def test_peak_memory_is_the_three_reused_buffers(self):
+        # N = 2^14 embeds in m = 2^15 points, so a chunk holds 64 pairs and
+        # 500 replications take four chunks: the normals (64, 2m), their
+        # complex transform (64, m) and the paths (128, N) must be all the
+        # chunk-sized memory, with no temporary per chunk or per H
+        n, m = 2 ** 14, 2 ** 15
+        pairs = fbmax.montecarlo.CHUNK_DRAW_BUDGET // (2 * m)
+        buffers = pairs * 2 * m * 8 + pairs * m * 16 + 2 * pairs * n * 8
+        tracemalloc.start()
+        try:
+            fbm_functional_samples(n, [0.09, 0.01, 0.0013, 0.0001], 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * buffers
 
     def test_odd_sample_size(self):
         samples = fbm_functional_samples(8, [0.5], 5, 1)[0.5]
