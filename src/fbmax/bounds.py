@@ -27,7 +27,6 @@ from .errors import QuadratureError, check_hurst, check_points
 
 __all__ = [
     "BorovkovBounds",
-    "DeltaUpperBound",
     "SudakovMaximizer",
     "borovkov_bounds",
     "delta_upper_bound",
@@ -54,12 +53,6 @@ class BorovkovBounds(NamedTuple):
     upper: float
 
 
-class DeltaUpperBound(NamedTuple):
-    value: float
-    #: True when N >= 2^(1/H), the regime the bound is proved for.
-    valid: bool
-
-
 class SudakovMaximizer(NamedTuple):
     #: None when e^(1/(2H)) overflows; ``value`` is then the analytic maximum.
     n_star: int | None
@@ -77,23 +70,22 @@ def borovkov_bounds(hurst: float) -> BorovkovBounds:
     return BorovkovBounds(lower=lower, upper=upper)
 
 
-def delta_upper_bound(n_points: int, hurst: float) -> DeltaUpperBound:
+def delta_upper_bound(n_points: int, hurst: float) -> float | None:
     """Upper bound on the discretization error of the expected maximum.
 
         (2 sqrt(ln N) / N^H) (1 + 4/N^H + 0.0074/(ln N)^(3/2))
 
-    The bound requires N >= 2^(1/H); outside that region the value is still
-    returned, with ``valid`` set to False.
+    The bound is proved for N >= 2^(1/H) only; below that it is None.
     """
     n_points = check_points(n_points, minimum=2)
     hurst = check_hurst(hurst)
+    if hurst * math.log2(n_points) < 1.0:
+        return None
     log_n = math.log(n_points)
     n_pow_h = math.exp(hurst * log_n)
-    value = (2.0 * math.sqrt(log_n) / n_pow_h) * (
+    return (2.0 * math.sqrt(log_n) / n_pow_h) * (
         1.0 + 4.0 / n_pow_h + 0.0074 / log_n ** 1.5
     )
-    valid = hurst * math.log2(n_points) >= 1.0
-    return DeltaUpperBound(value=value, valid=valid)
 
 
 def sudakov_lower_bound(n_points: int, hurst: float) -> float:
@@ -103,7 +95,7 @@ def sudakov_lower_bound(n_points: int, hurst: float) -> float:
     """
     n_points = check_points(n_points)
     hurst = check_hurst(hurst)
-    n_pow = math.exp(2.0 * hurst * math.log(n_points)) if n_points > 1 else 1.0
+    n_pow = math.exp(2.0 * hurst * math.log(n_points))
     return math.sqrt(math.log(n_points + 1.0) / (n_pow * _TWO_PI_LN2))
 
 
@@ -218,13 +210,12 @@ def bounds_report(n_points: int, hurst: float) -> dict[str, float | None]:
     n_points = check_points(n_points)
     hurst = check_hurst(hurst)
     borovkov = borovkov_bounds(hurst)
-    delta_up = delta_upper_bound(n_points, hurst) if n_points >= 2 else None
     integral = limit_integral(n_points)
     return {
         "borovkov_lower": borovkov.lower,
         "borovkov_upper": borovkov.upper,
         "sudakov_lower": sudakov_lower_bound(n_points, hurst),
-        "delta_upper": delta_up.value if delta_up is not None and delta_up.valid else None,
+        "delta_upper": delta_upper_bound(n_points, hurst) if n_points >= 2 else None,
         "limit_integral": integral,
         "delta_lower": borovkov.lower - integral,
         "relative_error_lower": relative_error_lower(hurst),

@@ -44,7 +44,6 @@ from .clark import clark_expected_max, fbm_vector_spec
 from .errors import NumericalError
 from .fbm import average_second_moment
 from .montecarlo import (
-    FunctionalKind,
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
@@ -110,13 +109,14 @@ def _pair(name: str, value: float | None) -> dict[str, Any]:
 
 
 def _mc_pairs(stats: SampleSummary) -> dict[str, Any]:
+    # keep ** 0.5: math.sqrt rounds some doubles differently and would change mc_se bytes
     return _pair("mc_mean", stats.mean) | _pair("mc_se", (stats.variance / stats.count) ** 0.5)
 
 
 def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
     row = _cell(hurst, exponent)
     if args.method in (None, "mc"):
-        row |= _mc_pairs(summarize(args.fbm_samples(exponent)[hurst][FunctionalKind.MAX]))
+        row |= _mc_pairs(summarize(args.fbm_samples(exponent)[hurst]["max"]))
     if args.method in (None, "clark"):
         if 2 ** exponent > CLARK_MAX_POINTS and not args.force_large_clark:
             row |= _pair("clark", None) | {"clark_status": "skipped"}
@@ -149,10 +149,10 @@ def _table4_rows(args, hurst: float, exponent: int) -> list[dict]:
 def _figures_rows(args, hurst: float, exponent: int) -> list[dict]:
     samples = args.fbm_samples(exponent)[hurst]
     statistics = (
-        ("average_mean", samples[FunctionalKind.AVERAGE], 0.0),
-        ("average_second_moment", samples[FunctionalKind.AVERAGE] ** 2,
+        ("average_mean", samples["average"], 0.0),
+        ("average_second_moment", samples["average"] ** 2,
          average_second_moment(2 ** exponent, hurst)),
-        ("max_mean", samples[FunctionalKind.MAX], borovkov_bounds(hurst).lower),
+        ("max_mean", samples["max"], borovkov_bounds(hurst).lower),
     )
     rows = []
     for figure, (statistic, values, theory) in enumerate(statistics, start=1):
@@ -175,7 +175,7 @@ def _bounds_rows(args, hurst: float, exponent: int) -> list[dict]:
 
 def _simulate_rows(args, hurst: float, exponent: int) -> list[dict]:
     samples = args.fbm_samples(exponent)[hurst]
-    maxima, averages = samples[FunctionalKind.MAX], samples[FunctionalKind.AVERAGE]
+    maxima, averages = samples["max"], samples["average"]
     return [_cell(hurst, exponent) | {"replication": rep}
             | _pair("max", float(maxima[rep])) | _pair("average", float(averages[rep]))
             for rep in range(args.samples)]

@@ -10,7 +10,6 @@ replication, all drawn from the root stream of the seed.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from .errors import check_points
 from .fbm import build_embedding, _synthesise_pairs
 
 __all__ = [
-    "FunctionalKind",
     "REDUCTIONS",
     "replication_rng",
     "SampleSummary",
@@ -38,19 +36,12 @@ CI95_QUANTILE = 1.96
 CHUNK_DRAW_BUDGET = 2 ** 22
 
 
-class FunctionalKind(enum.Enum):
-    """The path functionals: the maximum, whose expectation the package
-    estimates and bounds, and the average, an exact probe of the sampler
-    (see ``fbm.average_second_moment``)."""
-
-    MAX = "max"
-    AVERAGE = "average"
-
-
-#: Each functional as a reduction of sampled paths, shape (k, N) -> (k,).
+#: The path functionals, each a reduction of sampled paths, shape (k, N) -> (k,):
+#: the maximum, whose expectation the package estimates and bounds, and the
+#: average, an exact probe of the sampler (see ``fbm.average_second_moment``).
 REDUCTIONS = {
-    FunctionalKind.MAX: lambda paths: paths.max(axis=1),
-    FunctionalKind.AVERAGE: lambda paths: paths.mean(axis=1),
+    "max": lambda paths: paths.max(axis=1),
+    "average": lambda paths: paths.mean(axis=1),
 }
 
 
@@ -101,8 +92,8 @@ def summarize(samples: np.ndarray) -> SampleSummary:
 
 def fbm_functional_samples(
     n_points: int, hursts, sample_size: int, master_seed: int
-) -> dict[float, dict[FunctionalKind, np.ndarray]]:
-    """One sample of every functional per replication, keyed by H, then kind.
+) -> dict[float, dict[str, np.ndarray]]:
+    """One sample of every functional per replication, keyed by H, then by name.
 
     Each chunk of normals is drawn once and synthesised for every H into three
     buffers that every chunk and H reuse: the normals, their complex transform
@@ -110,6 +101,7 @@ def fbm_functional_samples(
     the bytes of CHUNK_DRAW_BUDGET draws.
     """
     n = check_points(sample_size, minimum=2, name="sample_size")
+    check_points(master_seed, minimum=0, name="master_seed")
     spectra = {h: build_embedding(n_points, h) for h in hursts}
     if not spectra:
         raise ValueError("hursts must not be empty")
@@ -120,7 +112,7 @@ def fbm_functional_samples(
     fourier = np.empty((pairs_per_chunk, m), dtype=complex)
     paths = np.empty((2 * pairs_per_chunk, n_grid))
 
-    out = {h: {kind: np.empty(n) for kind in FunctionalKind} for h in spectra}
+    out = {h: {kind: np.empty(n) for kind in REDUCTIONS} for h in spectra}
     done = 0
     for chunk_start in range(0, n_pairs, pairs_per_chunk):
         chunk = min(pairs_per_chunk, n_pairs - chunk_start)
@@ -148,6 +140,7 @@ def iid_limit_samples(n_points: int, sample_size: int, master_seed: int) -> np.n
     """
     n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
     sample_size = check_points(sample_size, minimum=2, name="sample_size")
+    check_points(master_seed, minimum=0, name="master_seed")
     u = np.random.default_rng(master_seed).random(sample_size)
     with np.errstate(divide="ignore"):  # u = 0 gives M = -inf, clipped to 0
         return limit_quantile(u, n_points)

@@ -62,16 +62,15 @@ class TestBorovkov:
 
 class TestDeltaUpper:
     def test_large_grid_small_hurst(self):
+        # N = 2^{1/H} holds with equality here, so the bound is proved
         bound = delta_upper_bound(2 ** 20, 0.05)
-        assert bound.value < 11.18
-        assert bound.value == pytest.approx(11.170426030342231, rel=1e-13)
-        # N = 2^{1/H} holds with equality here, so the bound is applicable
-        assert bound.valid
+        assert bound < 11.18
+        assert bound == pytest.approx(11.170426030342231, rel=1e-13)
 
     def test_validity_flag(self):
-        assert not delta_upper_bound(2 ** 20, 0.049).valid
-        assert delta_upper_bound(2 ** 20, 0.049).value > 0.0
-        assert delta_upper_bound(2 ** 20, 0.051).valid
+        assert delta_upper_bound(2 ** 20, 0.049) is None
+        assert delta_upper_bound(2 ** 20, 0.05) > 0.0
+        assert delta_upper_bound(2 ** 20, 0.051) > 0.0
 
     def test_hand_checkable_value(self):
         # N^H = 2 at N = 4, H = 1/2
@@ -79,9 +78,8 @@ class TestDeltaUpper:
             3.0 + 0.0074 / math.log(4.0) ** 1.5
         )
         got = delta_upper_bound(4, 0.5)
-        assert got.value == pytest.approx(expected, rel=1e-14)
-        assert got.value == pytest.approx(3.5375680391977133, rel=1e-13)
-        assert got.valid
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(3.5375680391977133, rel=1e-13)
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
@@ -315,7 +313,7 @@ class TestBoundsReport:
         assert rep["borovkov_lower"] == borovkov_bounds(0.05).lower
         assert rep["borovkov_upper"] == borovkov_bounds(0.05).upper
         assert rep["sudakov_lower"] == sudakov_lower_bound(2 ** 20, 0.05)
-        assert rep["delta_upper"] == delta_upper_bound(2 ** 20, 0.05).value
+        assert rep["delta_upper"] == delta_upper_bound(2 ** 20, 0.05)
         assert rep["limit_integral"] == limit_integral(2 ** 20)
         assert rep["delta_lower"] == borovkov_bounds(0.05).lower - limit_integral(2 ** 20)
         assert rep["relative_error_lower"] == relative_error_lower(0.05)

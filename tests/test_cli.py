@@ -83,6 +83,13 @@ class TestLimitCommand:
         row = read_csv(out)[0]
         assert abs(float(row["mc_mean"]) - limit_integral(256)) < 5.0 * float(row["mc_se"])
 
+    def test_mc_se_is_the_pow_form(self, capsys):
+        # at this seed math.sqrt of variance / count gives 0.03645831451416403
+        code, out = run_cli(capsys, ["limit", "--method", "mc", "--n-exp", "4",
+                                     "--samples", "100", "--seed", "2502"])
+        assert code == 0
+        assert read_csv(out)[0]["mc_se"] == "0.036458314514164036"
+
 
 class TestFormatsAndFiles:
     ARGS = ["simulate", "--h", "0.5", "--n-exp", "3", "--samples", "5", "--seed", "9"]
@@ -383,10 +390,10 @@ class TestShell:
     def test_closed_pipe_exits_0(self):
         # as `fbmax simulate ... | head -1`: the reader leaves after one line
         argv = ["simulate", "--h", "0.3", "--n-exp", "3", "--samples", "20000"]
-        proc = subprocess.Popen([sys.executable, "-m", "fbmax.cli", *argv], env=self.env(),
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert proc.stdout.readline().startswith("h,n_exp,n,replication")
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=120) == 0, stderr
+        with subprocess.Popen([sys.executable, "-m", "fbmax.cli", *argv], env=self.env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline().startswith("h,n_exp,n,replication")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, stderr
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import fbm_covariance_matrix
 from fbmax.fbm import average_second_moment
-from fbmax.montecarlo import REDUCTIONS, FunctionalKind
+from fbmax.montecarlo import REDUCTIONS, fbm_functional_samples
 
-MAX = REDUCTIONS[FunctionalKind.MAX]
-AVERAGE = REDUCTIONS[FunctionalKind.AVERAGE]
+MAX = REDUCTIONS["max"]
+AVERAGE = REDUCTIONS["average"]
 
 
 class TestFunctionals:
@@ -22,7 +22,9 @@ class TestFunctionals:
         np.testing.assert_allclose(AVERAGE(paths), [5.0 / 12.0, -2.0], rtol=1e-15)
 
     def test_evaluate_dispatch(self):
-        assert set(REDUCTIONS) == set(FunctionalKind)
+        assert list(REDUCTIONS) == ["max", "average"]
+        samples = fbm_functional_samples(8, [0.3, 0.7], 4, 0)
+        assert all(list(by_name) == ["max", "average"] for by_name in samples.values())
         paths = np.array([[1.0, 3.0]])
         assert MAX(paths)[0] == 3.0
         assert AVERAGE(paths)[0] == 2.0

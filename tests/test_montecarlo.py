@@ -11,7 +11,7 @@ from fbmax.bounds import limit_integral
 from fbmax.clark import fbm_vector_spec
 from fbmax.fbm import average_second_moment, build_embedding
 from fbmax.montecarlo import (
-    FunctionalKind,
+    REDUCTIONS,
     SampleSummary,
     fbm_functional_samples,
     iid_limit_samples,
@@ -117,11 +117,25 @@ def test_sample_size_is_checked_before_any_work(monkeypatch, sampler, sample_siz
         sampler(sample_size)
 
 
+@pytest.mark.parametrize("master_seed, error", [
+    (-1, ValueError), (1.5, TypeError), (True, TypeError)], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("sampler", [
+    lambda seed: fbm_functional_samples(8, [0.5], 4, seed),
+    lambda seed: iid_limit_samples(8, 4, seed),
+], ids=["fbm", "iid"])
+def test_master_seed_is_checked_before_any_work(monkeypatch, sampler, master_seed, error):
+    # numpy would refuse -1 only after the embeddings, and take True as seed 1
+    monkeypatch.setattr(fbmax.montecarlo, "build_embedding", lambda *a: pytest.fail("embedded"))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(error, match="master_seed"):
+        sampler(master_seed)
+
+
 class TestFbmExperiment:
     def test_deterministic_rerun(self):
         first, second = (fbm_functional_samples(16, [0.2, 0.7], 9, 5) for _ in range(2))
         for hurst in (0.2, 0.7):
-            for kind in FunctionalKind:
+            for kind in REDUCTIONS:
                 np.testing.assert_array_equal(first[hurst][kind], second[hurst][kind])
 
     def test_chunking_does_not_change_samples(self, monkeypatch):
@@ -141,7 +155,7 @@ class TestFbmExperiment:
         assert list(shared) == hursts
         for hurst in hursts:
             alone = fbm_functional_samples(32, [hurst], 13, 7)[hurst]
-            for kind in FunctionalKind:
+            for kind in REDUCTIONS:
                 np.testing.assert_array_equal(shared[hurst][kind], alone[kind])
 
     def test_peak_memory_is_the_three_reused_buffers(self):
@@ -162,19 +176,18 @@ class TestFbmExperiment:
 
     def test_odd_sample_size(self):
         samples = fbm_functional_samples(8, [0.5], 5, 1)[0.5]
-        assert set(samples) == set(FunctionalKind)
+        assert list(samples) == ["max", "average"]
         assert all(v.shape == (5,) for v in samples.values())
 
     def test_max_dominates_average_per_path(self):
         samples = fbm_functional_samples(64, [0.1], 20, 2)[0.1]
-        assert np.all(samples[FunctionalKind.MAX] >= samples[FunctionalKind.AVERAGE])
+        assert np.all(samples["max"] >= samples["average"])
 
     def test_single_point_grid_is_standard_normal(self):
         # one grid point: the path is B(1) ~ N(0, 1) and max == average
         samples = fbm_functional_samples(1, [0.5], 400, 11)[0.5]
-        np.testing.assert_array_equal(samples[FunctionalKind.MAX],
-                                      samples[FunctionalKind.AVERAGE])
-        m = summarize(samples[FunctionalKind.MAX])
+        np.testing.assert_array_equal(samples["max"], samples["average"])
+        m = summarize(samples["max"])
         se = math.sqrt(m.variance / m.count)
         assert abs(m.mean) < 5.0 * se
         assert m.variance == pytest.approx(1.0, rel=0.3)
@@ -186,7 +199,7 @@ class TestFbmExperiment:
         n = 2 ** exponent
         spitzer = math.fsum(k ** -0.5 for k in range(1, n)) / math.sqrt(2.0 * math.pi * n)
         assert spitzer == pytest.approx(exact, abs=5e-6)
-        m = summarize(fbm_functional_samples(n, [0.5], 4000, 9)[0.5][FunctionalKind.MAX])
+        m = summarize(fbm_functional_samples(n, [0.5], 4000, 9)[0.5]["max"])
         assert abs(m.mean - spitzer) < 4.0 * math.sqrt(m.variance / m.count)
 
 
