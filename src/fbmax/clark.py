@@ -3,18 +3,20 @@
 The exact first two moments of max{xi, eta} for a bivariate Gaussian pair, and
 the correlation of that max with any third Gaussian variable, admit closed
 forms. Absorbing one coordinate at a time while pretending the running maximum
-stays Gaussian gives an O(N^2) deterministic approximation of
-E max{xi_1, ..., xi_N}. The recursion runs on the centred vector
-(B(1/N), ..., B(N/N)), given by its variances, and absorbs it in ascending
-time order.
+stays Gaussian gives a deterministic approximation of E max{xi_1, ..., xi_N}.
+The recursion runs on the centred vector (B(1/N), ..., B(N/N)), given by its
+variances, and absorbs it in ascending time order. Each step reads one
+correlation, formed from running sums and an online convolution, so the cost
+is O(N log^2 N) time and O(N) memory.
 
-Two numerical safeguards: updated correlations are clamped to [-1, 1], and a
-zero-variance running maximum short-circuits to the larger mean; both events
-are tallied in the result diagnostics.
+Two numerical safeguards: a correlation outside [-1, 1] is clamped, and a
+running maximum with no variance forgets its correlations; both events are
+tallied in the result diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,13 +31,14 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
     "pair_moments",
-    "clark_correlation_update",
     "run_clark_recursion",
     "clark_expected_max",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: Block of steps within which the online convolution adds its terms by direct dot products.
+_LEAF_STEPS = 64
 
 
 def norm_cdf(x: float) -> float:
@@ -62,6 +65,8 @@ def fbm_vector_spec(n_points: int, hurst: float) -> np.ndarray:
 
 @dataclass
 class ClarkDiagnostics:
+    """Correlations clamped into [-1, 1] (at most one per step) and steps
+    whose running maximum had no variance."""
     clamp_events: int = 0
     degenerate_events: int = 0
 
@@ -98,46 +103,19 @@ def pair_moments(mean1, var1, mean2, var2, cov):
     return mean, second, alpha
 
 
-def clark_correlation_update(
-    var1: float,
-    corr_tau_1: np.ndarray,
-    var2: float,
-    corr_tau_2: np.ndarray,
-    alpha: float,
-    max_moments: tuple[float, float],
-    diagnostics: ClarkDiagnostics,
-) -> np.ndarray:
-    """Correlations of third variables tau with max{xi, eta}, elementwise.
-
-        Corr(tau, max) = [sqrt(var1) Corr(tau,xi) Phi(alpha)
-                          + sqrt(var2) Corr(tau,eta) Phi(-alpha)] / sd(max)
-
-    ``corr_tau_1`` and ``corr_tau_2`` hold Corr(tau, xi) and Corr(tau, eta)
-    for each tau, and ``max_moments`` the (E max, E max^2) of the pair.
-    Returns zeros when the max has no variance; out-of-range results are
-    clamped to [-1, 1]. Both events are tallied in ``diagnostics``, a clamp
-    once per entry.
-    """
-    mean, second = max_moments
-    var_max = second - mean * mean
-    if var_max <= 0.0:
-        diagnostics.degenerate_events += 1
-        return np.zeros_like(corr_tau_1)
-    raw = (
-        math.sqrt(var1) * corr_tau_1 * norm_cdf(alpha)
-        + math.sqrt(var2) * corr_tau_2 * norm_cdf(-alpha)
-    ) / math.sqrt(var_max)
-    diagnostics.clamp_events += int(np.count_nonzero(np.abs(raw) > 1.0))
-    return np.clip(raw, -1.0, 1.0)
-
-
 def run_clark_recursion(variances: np.ndarray) -> ClarkResult:
     """Run the full recursion over the fBm grid vector in ascending time order.
 
     ``variances`` is the vector ``fbm_vector_spec`` returns; the means are
-    zero. The state after absorbing coordinates 0..k is the approximated mean
-    and second moment of their maximum, plus its correlation with each
-    remaining coordinate. Memory is O(N); work is O(N^2).
+    zero. Absorbing x_k scales each Corr(M, x_j), M the running maximum, by
+    a_k = sd_M Phi(alpha)/sd_max and adds sd_k Phi(-alpha)/sd_max Corr(x_k, x_j).
+    So 2 sd_j Corr(M, x_j) = scale sum_i w_i (v_i + v_j - v_{j-i-1}), with
+    scale the product of the a's and w_i = Phi(-alpha_i)/(sd_max scale) at
+    step i. The one correlation a step reads needs sum w_i, sum w_i v_i and
+    ``lagged``, the convolution of w with v, filled online: terms within a
+    block of 64 steps by direct dot products, and each aligned block's terms
+    to the next block of its length by one FFT product (van der Hoeven's
+    relaxed product). Memory is O(N); work is O(N log^2 N).
     """
     v = np.asarray(variances, dtype=float)
     n = v.size
@@ -145,27 +123,47 @@ def run_clark_recursion(variances: np.ndarray) -> ClarkResult:
         raise ValueError("variances must be a non-empty vector of positive values")
     sd = np.sqrt(v)
     diagnostics = ClarkDiagnostics()
-
-    def correlations(k):
-        """Corr(x_k, x_j) for j = k+1, ..., N-1; the lags j - k are v's times."""
-        return 0.5 * (v[k] + v[k + 1:] - v[:n - 1 - k]) / (sd[k] * sd[k + 1:])
-
-    mean_m = 0.0
-    second_m = float(v[0])
-    if n > 1:
-        corr = correlations(0)
-
-    for k in range(1, n):
+    w, lagged = np.zeros(n), np.zeros(n)  # lagged[k] = sum_{i<=k} w_i v_{k-i}
+    # after step 0, M = x_0: its moments, then scale, sum w_i and sum w_i v_i
+    mean_m, second_m = 0.0, float(v[0])
+    scale, s0, s1 = 1.0, 1.0 / float(sd[0]), float(sd[0])
+    w[0], lagged[0] = s0, s1
+    spectrum = functools.cache(lambda size: np.fft.rfft(v[:size], size))
+    for k, vk, sdk in zip(range(1, n), map(float, v[1:]), map(float, sd[1:])):
+        rho = 0.5 * scale * (s1 + vk * s0 - float(lagged[k - 1])) / sdk
+        if abs(rho) > 1.0:
+            diagnostics.clamp_events += 1
+            rho = math.copysign(1.0, rho)
         var_m = max(second_m - mean_m * mean_m, 0.0)
-        rho = float(corr[0])
-        cov_mk = rho * math.sqrt(var_m * v[k])
-        mean, second, alpha = pair_moments(mean_m, var_m, 0.0, float(v[k]), cov_mk)
-        if k < n - 1:
-            corr = clark_correlation_update(
-                var_m, corr[1:], v[k], correlations(k), alpha, (mean, second), diagnostics
-            )
-        mean_m, second_m = mean, second
-
+        mean_m, second_m, alpha = pair_moments(
+            mean_m, var_m, 0.0, vk, rho * math.sqrt(var_m * vk))
+        if k == n - 1:
+            break
+        var_max = second_m - mean_m * mean_m
+        if var_max <= 0.0:  # M has no correlation left: an infinite sd zeroes a_k and w_k
+            diagnostics.degenerate_events += 1
+            var_max = math.inf
+        sd_max = math.sqrt(var_max)
+        a = math.sqrt(var_m) * norm_cdf(alpha) / sd_max
+        if a == 0.0:  # M has forgotten x_0..x_{k-1}: drop their terms
+            w[:k] = lagged[k:] = 0.0
+            scale, s0, s1 = 1.0, 0.0, 0.0
+        else:
+            scale *= a
+        w[k] = wk = norm_cdf(-alpha) / (sd_max * scale)
+        s0 += wk
+        s1 += wk * vk
+        lo = k - k % _LEAF_STEPS
+        lagged[k] += np.dot(w[lo:k + 1], v[k - lo::-1])
+        blocks, rest = divmod(k + 1, _LEAF_STEPS)
+        if rest == 0:
+            # the largest aligned block that ends here passes its terms to the
+            # next block of its length; a circular product of twice that
+            # length wraps only onto its first half, which is dropped
+            half = _LEAF_STEPS * (blocks & -blocks)
+            size = 2 * half
+            terms = np.fft.irfft(np.fft.rfft(w[k + 1 - half:k + 1], size) * spectrum(size), size)
+            lagged[k + 1:k + 1 + half] += terms[half:half + n - k - 1]
     return ClarkResult(expected_max=mean_m, second_moment=second_m, diagnostics=diagnostics)
 
 

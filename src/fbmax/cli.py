@@ -62,8 +62,6 @@ BOUNDS_H_VALUES = (0.5, 0.09, 0.01, 0.0013, 0.0001)
 TABLE2_SAMPLE_SIZES = (1000, 5000, 10000, 15000, 20000)
 #: Subcommands that read --samples and --seed.
 SAMPLING_COMMANDS = ("table1", "table2", "table3", "figures", "simulate", "limit")
-#: Largest grid Clark's O(N^2) recursion runs on without --force-large-clark.
-CLARK_MAX_POINTS = 2 ** 17
 
 
 def default_hurst_grid() -> list[float]:
@@ -118,11 +116,8 @@ def _table1_rows(args, hurst: float, exponent: int) -> list[dict]:
     if args.method in (None, "mc"):
         row |= _mc_pairs(summarize(args.fbm_samples(exponent)[hurst]["max"]))
     if args.method in (None, "clark"):
-        if 2 ** exponent > CLARK_MAX_POINTS and not args.force_large_clark:
-            row |= _pair("clark", None) | {"clark_status": "skipped"}
-        else:
-            value = clark_expected_max(fbm_vector_spec(2 ** exponent, hurst))
-            row |= _pair("clark", value) | {"clark_status": "ok"}
+        value = clark_expected_max(fbm_vector_spec(2 ** exponent, hurst))
+        row |= _pair("clark", value) | {"clark_status": "ok"}
     return [row]
 
 
@@ -237,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output file (default: stdout)")
     cmds["table1"].add_argument("--method", choices=("mc", "clark"), default=None,
                                 help="run only one estimator (default: both)")
-    cmds["table1"].add_argument("--force-large-clark", action="store_true",
-                                help=f"run Clark above the {CLARK_MAX_POINTS}-point guard")
     cmds["limit"].add_argument("--method", choices=("integral", "mc"), default="integral",
                                help="quadrature or iid Monte Carlo (default: integral)")
     return parser

@@ -1,11 +1,14 @@
 """Shared test helpers: the oracles that share no code with the package (dense
-fBm covariance and Cholesky sampler, bivariate-max quadrature) and
-acceptance reporting."""
+fBm covariance and Cholesky sampler, bivariate-max quadrature); Clark's
+vector recursion, which the package's recursion replaced and whose pair
+moments it shares; and acceptance reporting."""
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from fbmax.clark import ClarkDiagnostics, ClarkResult, norm_cdf, pair_moments
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -92,3 +95,77 @@ def draw_pair_cases(n_cases, seed=20210907):
              float(rho * sd1 * sd2))
         )
     return cases
+
+
+def clark_correlation_update(
+    var1: float,
+    corr_tau_1: np.ndarray,
+    var2: float,
+    corr_tau_2: np.ndarray,
+    alpha: float,
+    max_moments: tuple[float, float],
+    diagnostics: ClarkDiagnostics,
+) -> np.ndarray:
+    """Correlations of third variables tau with max{xi, eta}, elementwise.
+
+        Corr(tau, max) = [sqrt(var1) Corr(tau,xi) Phi(alpha)
+                          + sqrt(var2) Corr(tau,eta) Phi(-alpha)] / sd(max)
+
+    ``corr_tau_1`` and ``corr_tau_2`` hold Corr(tau, xi) and Corr(tau, eta)
+    for each tau, and ``max_moments`` the (E max, E max^2) of the pair.
+    Returns zeros when the max has no variance; out-of-range results are
+    clamped to [-1, 1]. Both events are tallied in ``diagnostics``, a clamp
+    once per entry.
+    """
+    mean, second = max_moments
+    var_max = second - mean * mean
+    if var_max <= 0.0:
+        diagnostics.degenerate_events += 1
+        return np.zeros_like(corr_tau_1)
+    raw = (
+        math.sqrt(var1) * corr_tau_1 * norm_cdf(alpha)
+        + math.sqrt(var2) * corr_tau_2 * norm_cdf(-alpha)
+    ) / math.sqrt(var_max)
+    diagnostics.clamp_events += int(np.count_nonzero(np.abs(raw) > 1.0))
+    return np.clip(raw, -1.0, 1.0)
+
+
+def clark_recursion_oracle(variances: np.ndarray) -> ClarkResult:
+    """Clark's recursion with the whole correlation vector as its state: the
+    O(N^2) form that ``fbmax.clark.run_clark_recursion`` replaced.
+
+    Runs the full recursion over the fBm grid vector in ascending time order.
+
+    ``variances`` is the vector ``fbm_vector_spec`` returns; the means are
+    zero. The state after absorbing coordinates 0..k is the approximated mean
+    and second moment of their maximum, plus its correlation with each
+    remaining coordinate. Memory is O(N); work is O(N^2).
+    """
+    v = np.asarray(variances, dtype=float)
+    n = v.size
+    if n < 1 or not np.all(v > 0.0):
+        raise ValueError("variances must be a non-empty vector of positive values")
+    sd = np.sqrt(v)
+    diagnostics = ClarkDiagnostics()
+
+    def correlations(k):
+        """Corr(x_k, x_j) for j = k+1, ..., N-1; the lags j - k are v's times."""
+        return 0.5 * (v[k] + v[k + 1:] - v[:n - 1 - k]) / (sd[k] * sd[k + 1:])
+
+    mean_m = 0.0
+    second_m = float(v[0])
+    if n > 1:
+        corr = correlations(0)
+
+    for k in range(1, n):
+        var_m = max(second_m - mean_m * mean_m, 0.0)
+        rho = float(corr[0])
+        cov_mk = rho * math.sqrt(var_m * v[k])
+        mean, second, alpha = pair_moments(mean_m, var_m, 0.0, float(v[k]), cov_mk)
+        if k < n - 1:
+            corr = clark_correlation_update(
+                var_m, corr[1:], v[k], correlations(k), alpha, (mean, second), diagnostics
+            )
+        mean_m, second_m = mean, second
+
+    return ClarkResult(expected_max=mean_m, second_moment=second_m, diagnostics=diagnostics)

@@ -1,12 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import draw_pair_cases, fbm_covariance_matrix, pair_max_moments_oracle
+import conftest
+import fbmax.clark
+from conftest import (
+    clark_correlation_update,
+    clark_recursion_oracle,
+    draw_pair_cases,
+    fbm_covariance_matrix,
+    pair_max_moments_oracle,
+)
 from fbmax.clark import (
     ClarkDiagnostics,
-    clark_correlation_update,
     clark_expected_max,
     fbm_vector_spec,
     pair_moments,
@@ -131,7 +139,7 @@ class TestRecursion:
         assert result.second_moment == pytest.approx(ref[1], rel=1e-14)
 
     def test_matches_scalar_operations(self):
-        # the vectorized recursion must agree with a plain scalar replay built
+        # the recursion must agree with a plain scalar replay built
         # from the dense covariance, the pair moments and Clark's correlation formula
         n = 6
         for h in (1e-4, 0.09, 0.5, 0.9):
@@ -158,6 +166,47 @@ class TestRecursion:
                 mean_m, second_m = pair
             assert result.expected_max == pytest.approx(mean_m, rel=1e-12)
             assert result.second_moment == pytest.approx(second_m, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-4, 0.0013, 0.01, 0.09, 0.25, 0.5, 0.9, 0.99])
+    def test_matches_vector_oracle(self, h):
+        # 65 and 1000 are no powers of two and span more than one 64-step
+        # block; the oracle is O(N^2), so only one H runs at 2^14
+        sizes = (1, 2, 3, 6, 63, 64, 65, 100, 1000, 2 ** 12) + ((2 ** 14,) if h == 0.0013 else ())
+        for n in sizes:
+            v = fbm_vector_spec(n, h)
+            result, expected = run_clark_recursion(v), clark_recursion_oracle(v)
+            assert result.expected_max == pytest.approx(expected.expected_max, rel=1e-12)
+            assert result.second_moment == pytest.approx(expected.second_moment, rel=1e-12)
+            assert result.diagnostics == expected.diagnostics
+
+    @pytest.mark.parametrize("step,events", [(100, 1), (299, 0)])
+    def test_degenerate_step_matches_vector_oracle(self, monkeypatch, step, events):
+        # no fBm grid has one, so one step's max is made to lose its variance:
+        # at step 100 its weights still have terms pending in later blocks;
+        # the last step, 299, updates no correlation and so counts nothing
+        def degenerate():
+            calls = itertools.count(1)
+
+            def patched(*args):
+                mean, second, alpha = pair_moments(*args)
+                return mean, (mean * mean if next(calls) == step else second), alpha
+            return patched
+
+        v = fbm_vector_spec(300, 0.09)
+        monkeypatch.setattr(fbmax.clark, "pair_moments", degenerate())
+        monkeypatch.setattr(conftest, "pair_moments", degenerate())
+        result, expected = run_clark_recursion(v), clark_recursion_oracle(v)
+        assert result.expected_max == pytest.approx(expected.expected_max, rel=1e-12)
+        assert result.second_moment == pytest.approx(expected.second_moment, rel=1e-12)
+        assert result.diagnostics == expected.diagnostics == ClarkDiagnostics(0, events)
+
+    def test_clamps_the_correlation_it_reads(self):
+        # no covariance has these variances: Corr(x_0, x_1) = 0.5 (1 + 100 - 1) / 10
+        # = 5, which the step clips to 1 and tallies once
+        result = run_clark_recursion(np.array([1.0, 100.0]))
+        expected = pair_moments(0.0, 1.0, 0.0, 100.0, 10.0)[:2]
+        assert (result.expected_max, result.second_moment) == expected
+        assert result.diagnostics == ClarkDiagnostics(clamp_events=1, degenerate_events=0)
 
     @pytest.mark.parametrize("h", [0.0013, 0.0001])
     def test_monotone_in_grid_size_for_small_hurst(self, h):

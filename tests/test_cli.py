@@ -161,28 +161,19 @@ class TestTable1:
         assert float(row["clark"]) == pytest.approx(expected, rel=1e-12)
         assert abs(float(row["mc_mean"]) - expected) < 6.0 * float(row["mc_se"])
 
-    def test_clark_skipped_above_guard(self, capsys):
+    def test_clark_fills_large_grids(self, capsys):
+        # the recursion is O(N log^2 N), so no grid size skips Clark
         code, out = run_cli(
             capsys, ["table1", "--h", "0.09", "--n-exp", "18", "--method", "clark"]
         )
         assert code == 0
         row = read_csv(out)[0]
-        assert row["clark_status"] == "skipped"
-        assert row["clark_4dp"] == "" and row["clark"] == ""
-        assert "mc_mean" not in row
-
-    def test_force_large_clark_lifts_the_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(fbmax.cli, "CLARK_MAX_POINTS", 2 ** 6)
-        argv = ["table1", "--method", "clark", "--h", "0.09", "--n-exp", "7"]
-        code, out = run_cli(capsys, argv)
-        assert code == 0
-        assert read_csv(out)[0]["clark_status"] == "skipped"
-        code, out = run_cli(capsys, argv + ["--force-large-clark"])
-        assert code == 0
-        row = read_csv(out)[0]
         assert row["clark_status"] == "ok"
-        expected = clark_expected_max(fbm_vector_spec(128, 0.09))
-        assert float(row["clark"]) == expected
+        assert float(row["clark"]) == clark_expected_max(fbm_vector_spec(2 ** 18, 0.09))
+        assert "mc_mean" not in row
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--method", "clark", "--n-exp", "7", "--force-large-clark"])
+        assert excinfo.value.code == 2
 
 
 class TestIidTables:
@@ -377,6 +368,14 @@ class TestShell:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal would add about half a second to every CLI start
+        code = "import sys, fbmax.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=self.env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_table3_default_grid_finishes(self):
         # N = 2^20..2^25 at 1000 replications each, well inside the timeout
