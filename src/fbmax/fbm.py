@@ -95,9 +95,10 @@ def circulant_eigenvalues(row: np.ndarray) -> np.ndarray:
     """Eigenvalues of the circulant matrix with the given (symmetric) first row.
 
     lambda_k = sum_j row[j] exp(2*pi*i*j*k/m); real because row[j] == row[m-j].
+    The real parts are copied out, so the complex transform is not kept alive.
     """
     row = np.asarray(row, dtype=float)
-    return np.fft.fft(row).real
+    return np.fft.fft(row).real.copy()
 
 
 def build_embedding(n_points: int, hurst: float) -> CirculantSpectrum:
@@ -128,9 +129,7 @@ def build_embedding(n_points: int, hurst: float) -> CirculantSpectrum:
         )
     negative = eig < 0.0
     n_clipped = int(np.count_nonzero(negative))
-    if n_clipped:
-        eig = eig.copy()
-        eig[negative] = 0.0
+    eig[negative] = 0.0
     eig.setflags(write=False)
     return CirculantSpectrum(
         n_points=n, size=m, eigenvalues=eig, n_clipped=n_clipped, min_raw_eigenvalue=min_raw
@@ -154,8 +153,8 @@ def _synthesise_pairs(
     increments returned are a view of ``out``.
     """
     m = spectrum.size
-    out.real = noise[:, :m]
-    out.imag = noise[:, m:]
-    out *= np.sqrt(spectrum.eigenvalues / m)
+    weights = np.sqrt(spectrum.eigenvalues / m)
+    np.multiply(noise[:, :m], weights, out=out.real)
+    np.multiply(noise[:, m:], weights, out=out.imag)
     np.fft.fft(out, axis=1, out=out)
     return out.view(float).reshape(len(out), m, 2)[:, :spectrum.n_points].transpose(0, 2, 1)

@@ -2,15 +2,19 @@
 
 Two samplers, each reproducible bit for bit from its master seed. The fBm
 sampler gives every replication pair a dedicated child generator, so results
-do not depend on chunking or execution order; circulant synthesis yields two
-independent paths per FFT, and replications 2s and 2s+1 come from pair s.
+do not depend on chunking, execution order or the number of threads;
+circulant synthesis yields two independent paths per FFT, and replications
+2s and 2s+1 come from pair s. Its chunks run on one thread per usable CPU.
 The iid-limit sampler inverts the CDF of the maximum at one uniform per
 replication, all drawn from the root stream of the seed.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,10 @@ __all__ = [
 #: Normal-approximation quantile for 95% confidence intervals.
 CI95_QUANTILE = 1.96
 #: Per-chunk budget of normal draws, bounding memory for many replications;
-#: with their complex transform and the paths, a chunk takes 2.5 times their bytes.
-CHUNK_DRAW_BUDGET = 2 ** 22
+#: with their complex transform and the paths, a chunk takes 2.5 times their
+#: bytes, once per thread. On one thread, chunks of 2^19 draws ran faster than
+#: chunks of 2^22, and chunks of 2^17 (two pairs at N = 2^14) ran slower.
+CHUNK_DRAW_BUDGET = 2 ** 19
 
 
 #: The path functionals, each a reduction of sampled paths, shape (k, N) -> (k,):
@@ -90,15 +96,29 @@ def summarize(samples: np.ndarray) -> SampleSummary:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def fbm_functional_samples(
     n_points: int, hursts, sample_size: int, master_seed: int
 ) -> dict[float, dict[str, np.ndarray]]:
     """One sample of every functional per replication, keyed by H, then by name.
 
-    Each chunk of normals is drawn once and synthesised for every H into three
-    buffers that every chunk and H reuse: the normals, their complex transform
-    and the paths. Cost is O(n N log N) per H; peak memory stays near 2.5 times
-    the bytes of CHUNK_DRAW_BUDGET draws.
+    Chunks of replication pairs run on one thread per usable CPU, at most one
+    per chunk, thread w of T taking chunks w, w + T, ...; a sample of one
+    chunk runs on the calling thread. Each thread draws a chunk of normals
+    once and synthesises it for every H into three buffers of its own,
+    allocated once and reused for its chunks and every H: the normals, their
+    complex transform and the paths. Each chunk writes its own slice of the
+    output, so the bytes do not depend on the number of threads. An error in
+    one thread, or an interrupt, stops the others at their next chunk and is
+    raised to the caller. Cost is O(n N log N) per H; peak memory stays near
+    T times 2.5 times the bytes of CHUNK_DRAW_BUDGET draws, plus the spectra.
     """
     n = check_points(sample_size, minimum=2, name="sample_size")
     check_points(master_seed, minimum=0, name="master_seed")
@@ -108,24 +128,40 @@ def fbm_functional_samples(
     m, n_grid = next((s.size, s.n_points) for s in spectra.values())  # N alone sets them
     n_pairs = (n + 1) // 2
     pairs_per_chunk = min(n_pairs, max(1, CHUNK_DRAW_BUDGET // (2 * m)))
-    noise = np.empty((pairs_per_chunk, 2 * m))
-    fourier = np.empty((pairs_per_chunk, m), dtype=complex)
-    paths = np.empty((2 * pairs_per_chunk, n_grid))
-
+    starts = range(0, n_pairs, pairs_per_chunk)
+    workers = min(_usable_cpus(), len(starts))
     out = {h: {kind: np.empty(n) for kind in REDUCTIONS} for h in spectra}
-    done = 0
-    for chunk_start in range(0, n_pairs, pairs_per_chunk):
-        chunk = min(pairs_per_chunk, n_pairs - chunk_start)
-        for row in range(chunk):
-            replication_rng(master_seed, chunk_start + row).standard_normal(out=noise[row])
-        take = min(2 * chunk, n - done)
-        for h, spectrum in spectra.items():
-            increments = _synthesise_pairs(spectrum, noise[:chunk], fourier[:chunk])
-            # row 2r of paths is the real part of pair r, row 2r + 1 its imaginary part
-            np.cumsum(increments, axis=2, out=paths[:2 * chunk].reshape(chunk, 2, n_grid))
-            for kind, values in out[h].items():
-                values[done:done + take] = REDUCTIONS[kind](paths[:take])
-        done += take
+    stop = threading.Event()  # set once the call fails or is interrupted
+
+    def run_chunks(worker: int) -> None:
+        noise = np.empty((pairs_per_chunk, 2 * m))
+        fourier = np.empty((pairs_per_chunk, m), dtype=complex)
+        paths = np.empty((2 * pairs_per_chunk, n_grid))
+        for chunk_start in starts[worker::workers]:
+            if stop.is_set():
+                return
+            chunk = min(pairs_per_chunk, n_pairs - chunk_start)
+            for row in range(chunk):
+                replication_rng(master_seed, chunk_start + row).standard_normal(out=noise[row])
+            first = 2 * chunk_start
+            take = min(2 * chunk, n - first)
+            for h, spectrum in spectra.items():
+                increments = _synthesise_pairs(spectrum, noise[:chunk], fourier[:chunk])
+                # row 2r of paths is the real part of pair r, row 2r + 1 its imaginary part
+                np.cumsum(increments, axis=2, out=paths[:2 * chunk].reshape(chunk, 2, n_grid))
+                for kind, values in out[h].items():
+                    values[first:first + take] = REDUCTIONS[kind](paths[:take])
+
+    if workers == 1:
+        run_chunks(0)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run_chunks, w) for w in range(workers)]
+            try:  # the first error, or an interrupt, stops the other threads
+                for future in concurrent.futures.as_completed(futures):
+                    future.result()
+            finally:
+                stop.set()
     return out
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 import conftest
 import fbmax.clark
@@ -17,6 +18,8 @@ from fbmax.clark import (
     ClarkDiagnostics,
     clark_expected_max,
     fbm_vector_spec,
+    norm_cdf,
+    norm_pdf,
     pair_moments,
     run_clark_recursion,
 )
@@ -66,6 +69,23 @@ PAIR_ORACLE_CASES = [
     (1.7795189336768358, 1.726526615651214, 0.09721398547092486, 1.5823251823265878, -0.7539168053016544,
      2.0592573300328936, 5.386241969527301),
 ]
+
+
+class TestNormal:
+    def test_cdf_basics(self):
+        assert norm_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert norm_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
+        assert norm_cdf(-37.0) > 0.0  # erfc path keeps the deep tail alive
+        assert norm_cdf(40.0) == 1.0
+
+    def test_cdf_matches_scipy(self):
+        xs = np.linspace(-8.0, 8.0, 33)
+        ours = np.array([norm_cdf(float(x)) for x in xs])
+        np.testing.assert_allclose(ours, sps.ndtr(xs), rtol=5e-14)
+
+    def test_pdf(self):
+        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+        assert norm_pdf(2.0) == pytest.approx(math.exp(-2.0) / math.sqrt(2 * math.pi), rel=1e-14)
 
 
 class TestPairMoments:

@@ -164,6 +164,11 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             spec.eigenvalues[0] = 0.0
 
+    def test_spectrum_holds_only_its_eigenvalues(self):
+        # a view of the complex FFT would keep twice the bytes alive per H
+        eig = build_embedding(1000, 0.3).eigenvalues
+        assert eig.base is None and eig.flags.c_contiguous and eig.nbytes == 8 * 2048
+
     def test_tiny_negative_eigenvalue_is_clipped(self, monkeypatch):
         real = circulant_eigenvalues
 

@@ -21,7 +21,7 @@ class TestFunctionals:
         np.testing.assert_array_equal(MAX(paths), [1.0, -1.0])
         np.testing.assert_allclose(AVERAGE(paths), [5.0 / 12.0, -2.0], rtol=1e-15)
 
-    def test_evaluate_dispatch(self):
+    def test_table_names_every_functional(self):
         assert list(REDUCTIONS) == ["max", "average"]
         samples = fbm_functional_samples(8, [0.3, 0.7], 4, 0)
         assert all(list(by_name) == ["max", "average"] for by_name in samples.values())

@@ -1,4 +1,8 @@
+import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -158,21 +162,26 @@ class TestFbmExperiment:
             for kind in REDUCTIONS:
                 np.testing.assert_array_equal(shared[hurst][kind], alone[kind])
 
-    def test_peak_memory_is_the_three_reused_buffers(self):
-        # N = 2^14 embeds in m = 2^15 points, so a chunk holds 64 pairs and
-        # 500 replications take four chunks: the normals (64, 2m), their
-        # complex transform (64, m) and the paths (128, N) must be all the
-        # chunk-sized memory, with no temporary per chunk or per H
-        n, m = 2 ** 14, 2 ** 15
+    def test_peak_memory_is_the_three_reused_buffers(self, monkeypatch):
+        # N = 2^14 embeds in m = 2^15 points, so a chunk holds 8 pairs and
+        # 500 replications take 32 chunks on two threads. Each thread's
+        # normals (8, 2m), their complex transform (8, m) and paths (16, N),
+        # the four spectra (m) and each thread's weights of the synthesis in
+        # progress (2m: lambda / m and its root) must be all the memory of
+        # size m, with no temporary per chunk or per H
+        monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        n, m, hursts = 2 ** 14, 2 ** 15, [0.09, 0.01, 0.0013, 0.0001]
         pairs = fbmax.montecarlo.CHUNK_DRAW_BUDGET // (2 * m)
         buffers = pairs * 2 * m * 8 + pairs * m * 16 + 2 * pairs * n * 8
+        spectra = len(hursts) * m * 8
+        weights = 2 * 2 * m * 8
         tracemalloc.start()
         try:
-            fbm_functional_samples(n, [0.09, 0.01, 0.0013, 0.0001], 500, 1)
+            fbm_functional_samples(n, hursts, 500, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * buffers
+        assert peak <= 2 * buffers + spectra + weights + 2 ** 20
 
     def test_odd_sample_size(self):
         samples = fbm_functional_samples(8, [0.5], 5, 1)[0.5]
@@ -201,6 +210,75 @@ class TestFbmExperiment:
         assert spitzer == pytest.approx(exact, abs=5e-6)
         m = summarize(fbm_functional_samples(n, [0.5], 4000, 9)[0.5]["max"])
         assert abs(m.mean - spitzer) < 4.0 * math.sqrt(m.variance / m.count)
+
+
+class TestFbmFunctionalSamples:
+    """Threads: one per usable CPU, at most one per chunk, and the same bytes."""
+
+    @pytest.mark.parametrize("sample_size", [13, 401], ids=["4-chunks", "101-chunks"])
+    def test_worker_count_does_not_change_samples(self, monkeypatch, sample_size):
+        # N = 32 takes 128 draws per pair, so chunks of 2 pairs and a last one
+        # of 1 pair with one path: 2 and 3 threads split them unevenly, and
+        # each H must keep its bytes. A short switch interval interleaves the
+        # threads, so that 101 chunks would show threads that share a buffer
+        monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 256)
+        hursts = [0.05, 0.3, 0.5, 0.9]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                runs.append(fbm_functional_samples(32, hursts, sample_size, 7))
+        finally:
+            sys.setswitchinterval(interval)
+        for hurst in hursts:
+            for kind in REDUCTIONS:
+                for other in runs[1:]:
+                    np.testing.assert_array_equal(runs[0][hurst][kind], other[hurst][kind])
+
+    @pytest.mark.parametrize("sample_size, cpus, most_threads", [(13, 3, 3), (13, 8, 4), (4, 8, 1)],
+                             ids=["by-cpus", "by-chunks", "one-chunk"])
+    def test_threads_are_bounded_by_cpus_and_chunks(
+            self, monkeypatch, sample_size, cpus, most_threads):
+        monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 256)
+        monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        synthesise, threads = fbmax.montecarlo._synthesise_pairs, set()
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return synthesise(*args)
+
+        monkeypatch.setattr(fbmax.montecarlo, "_synthesise_pairs", record)
+        fbm_functional_samples(32, [0.3], sample_size, 7)
+        assert 1 <= len(threads) <= most_threads
+        if most_threads == 1:
+            assert threads == {threading.get_ident()}
+
+    def test_worker_error_reaches_the_caller_and_threads_end(self, monkeypatch):
+        # 4000 replications take 1000 chunks of one synthesis each, 500 per
+        # thread: once the third synthesis fails, the other thread stops at
+        # its next chunk instead of running the rest of its 500. Each
+        # synthesis sleeps, so that the caller's thread, which stops the
+        # others, is not kept from the interpreter lock
+        monkeypatch.setattr(fbmax.montecarlo, "CHUNK_DRAW_BUDGET", 256)
+        monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        synthesise, calls = fbmax.montecarlo._synthesise_pairs, itertools.count(1)
+
+        def fail_third(*args):
+            if next(calls) == 3:
+                raise RuntimeError("third synthesis")
+            time.sleep(0.0005)
+            return synthesise(*args)
+
+        monkeypatch.setattr(fbmax.montecarlo, "_synthesise_pairs", fail_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third synthesis"):
+            fbm_functional_samples(32, [0.3], 4000, 7)
+        assert threading.active_count() == before
+        assert next(calls) < 250
 
 
 def _brute_force_iid_limit(n_points, sample_size, seed, rows=500):

@@ -5,7 +5,6 @@ import pytest
 from scipy import special as sps
 
 from fbmax.bounds import limit_quantile
-from fbmax.clark import norm_cdf, norm_pdf
 
 
 #: log2 N from one point to 2^615, the crossover grid at H = 1e-4.
@@ -40,20 +39,3 @@ class TestLimitQuantile:
         u = u[u > 2.0 ** -min(n, 1074)]
         q = limit_quantile(u, n)
         np.testing.assert_allclose(n * sps.log_ndtr(math.sqrt(2.0) * q), np.log(u), rtol=1e-12)
-
-
-class TestNormal:
-    def test_cdf_basics(self):
-        assert norm_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert norm_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-        assert norm_cdf(-37.0) > 0.0  # erfc path keeps the deep tail alive
-        assert norm_cdf(40.0) == 1.0
-
-    def test_cdf_matches_scipy(self):
-        xs = np.linspace(-8.0, 8.0, 33)
-        ours = np.array([norm_cdf(float(x)) for x in xs])
-        np.testing.assert_allclose(ours, sps.ndtr(xs), rtol=5e-14)
-
-    def test_pdf(self):
-        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
-        assert norm_pdf(2.0) == pytest.approx(math.exp(-2.0) / math.sqrt(2 * math.pi), rel=1e-14)
