@@ -242,9 +242,15 @@ def main(argv: list[str] | None = None) -> int:
     rows_of, default_h, default_exponents, _ = _COMMANDS[args.command]
     h_values = [None] if default_h is None else args.h_values or default_h
     cells = itertools.product(h_values, args.n_exponents or default_exponents)
-    # every H of one N shares its draws, so the first cell of an N samples them all
-    args.fbm_samples = functools.cache(lambda exponent: fbm_functional_samples(
-        2 ** exponent, h_values, args.samples, args.seed))
+    @functools.cache  # every H of one N shares its draws: the first cell of an N samples all
+    def fbm_samples(exponent: int) -> dict:
+        start = time.perf_counter()
+        samples = fbm_functional_samples(2 ** exponent, h_values, args.samples, args.seed)
+        print(f"[{args.command}] N=2^{exponent} sampled {len(samples)} H in "
+              f"{time.perf_counter() - start:.3f} s", file=sys.stderr, flush=True)
+        return samples
+
+    args.fbm_samples = fbm_samples
     try:  # before the first cell, so a bad path costs no computation
         output = (contextlib.nullcontext(sys.stdout) if args.out is None
                   else open(args.out, "w", encoding="utf-8", newline=""))

@@ -2,11 +2,11 @@
 
 The sampler follows the circulant-embedding construction: the covariance of
 the increment process (fractional Gaussian noise) is embedded into a circulant
-matrix whose eigenvalues come out of a single FFT of its first row. Weighting
-a complex Gaussian vector by the square roots of those eigenvalues and
-applying one more FFT yields, in the real and imaginary parts, two independent
-increment vectors with exactly the target law. Cumulative sums turn increments
-into path values B(1/N), ..., B(N/N).
+matrix whose eigenvalues come out of a single FFT of its first row, and the
+spectrum keeps their scaled square roots as weights. Weighting a complex
+Gaussian vector by them and applying one more FFT yields, in the real and
+imaginary parts, two independent increment vectors with exactly the target
+law. Cumulative sums turn increments into path values B(1/N), ..., B(N/N).
 
 The closed-form second moment of the path average is included as an exact
 probe of the sampler.
@@ -35,16 +35,16 @@ EIGENVALUE_CLIP_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class CirculantSpectrum:
-    """Eigenvalues of the circulant embedding for the grid of N points.
+    """Synthesis weights of the circulant embedding for the grid of N points.
 
-    ``eigenvalues`` has length ``size`` (= 2 * 2**ceil(log2 N)), is
-    nonnegative after clipping, and sums to ``size * c_0`` where c_0 is the
-    increment variance N**(-2H).
+    ``weights`` has length ``size`` (= 2 * 2**ceil(log2 N)) and holds
+    sqrt(lambda_k / size), where the eigenvalues lambda_k are nonnegative after
+    clipping and sum to ``size * c_0``, c_0 = N**(-2H) the increment variance.
     """
 
     n_points: int
     size: int
-    eigenvalues: np.ndarray
+    weights: np.ndarray
     n_clipped: int = 0
     min_raw_eigenvalue: float = 0.0
 
@@ -130,9 +130,10 @@ def build_embedding(n_points: int, hurst: float) -> CirculantSpectrum:
     negative = eig < 0.0
     n_clipped = int(np.count_nonzero(negative))
     eig[negative] = 0.0
-    eig.setflags(write=False)
+    weights = np.sqrt(eig / m)
+    weights.setflags(write=False)
     return CirculantSpectrum(
-        n_points=n, size=m, eigenvalues=eig, n_clipped=n_clipped, min_raw_eigenvalue=min_raw
+        n_points=n, size=m, weights=weights, n_clipped=n_clipped, min_raw_eigenvalue=min_raw
     )
 
 
@@ -147,14 +148,13 @@ def _synthesise_pairs(
     """Turn standard normal noise of shape (k, 2m) into increments (k, 2, N).
 
     Each row supplies one complex Gaussian vector (real parts first, then
-    imaginary), weighted and transformed in place in ``out``, shape (k, m).
-    One FFT gives two independent fGn draws in its real and imaginary parts;
-    no Hermitian symmetrisation is needed because both are kept. The
-    increments returned are a view of ``out``.
+    imaginary), times the spectrum's weights, transformed in place in ``out``,
+    shape (k, m). One FFT gives two independent fGn draws in its real and
+    imaginary parts; no Hermitian symmetrisation is needed because both are
+    kept. The increments returned are a view of ``out``; nothing is allocated.
     """
     m = spectrum.size
-    weights = np.sqrt(spectrum.eigenvalues / m)
-    np.multiply(noise[:, :m], weights, out=out.real)
-    np.multiply(noise[:, m:], weights, out=out.imag)
+    np.multiply(noise[:, :m], spectrum.weights, out=out.real)
+    np.multiply(noise[:, m:], spectrum.weights, out=out.imag)
     np.fft.fft(out, axis=1, out=out)
     return out.view(float).reshape(len(out), m, 2)[:, :spectrum.n_points].transpose(0, 2, 1)

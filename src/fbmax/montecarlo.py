@@ -4,7 +4,7 @@ Two samplers, each reproducible bit for bit from its master seed. The fBm
 sampler gives every replication pair a dedicated child generator, so results
 do not depend on chunking, execution order or the number of threads;
 circulant synthesis yields two independent paths per FFT, and replications
-2s and 2s+1 come from pair s. Its chunks run on one thread per usable CPU.
+2s and 2s+1 come from pair s. Its chunks run on a pool, one thread per CPU.
 The iid-limit sampler inverts the CDF of the maximum at one uniform per
 replication, all drawn from the root stream of the seed.
 """
@@ -109,16 +109,16 @@ def fbm_functional_samples(
 ) -> dict[float, dict[str, np.ndarray]]:
     """One sample of every functional per replication, keyed by H, then by name.
 
-    Chunks of replication pairs run on one thread per usable CPU, at most one
-    per chunk, thread w of T taking chunks w, w + T, ...; a sample of one
-    chunk runs on the calling thread. Each thread draws a chunk of normals
-    once and synthesises it for every H into three buffers of its own,
-    allocated once and reused for its chunks and every H: the normals, their
-    complex transform and the paths. Each chunk writes its own slice of the
-    output, so the bytes do not depend on the number of threads. An error in
-    one thread, or an interrupt, stops the others at their next chunk and is
-    raised to the caller. Cost is O(n N log N) per H; peak memory stays near
-    T times 2.5 times the bytes of CHUNK_DRAW_BUDGET draws, plus the spectra.
+    Chunks of replication pairs run on a pool of T threads, one per usable
+    CPU and at most one per chunk, thread w taking chunks w, w + T, ... Each
+    thread draws a chunk of normals once and synthesises it for every H into
+    three buffers of its own, allocated once and reused for its chunks and
+    every H: the normals, their complex transform and the paths. Each chunk
+    writes its own slice of the output, so the bytes do not depend on T. An
+    error in one thread, or an interrupt, stops the others at their next
+    chunk and is raised to the caller. Cost is O(n N log N) per H; memory is
+    T times the three buffers, at most 2.5 times the bytes of
+    max(CHUNK_DRAW_BUDGET, 2 m) draws, plus each H's weights of 8 m bytes.
     """
     n = check_points(sample_size, minimum=2, name="sample_size")
     check_points(master_seed, minimum=0, name="master_seed")
@@ -152,16 +152,13 @@ def fbm_functional_samples(
                 for kind, values in out[h].items():
                     values[first:first + take] = REDUCTIONS[kind](paths[:take])
 
-    if workers == 1:
-        run_chunks(0)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run_chunks, w) for w in range(workers)]
-            try:  # the first error, or an interrupt, stops the other threads
-                for future in concurrent.futures.as_completed(futures):
-                    future.result()
-            finally:
-                stop.set()
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_chunks, w) for w in range(workers)]
+        try:  # the first error, or an interrupt, stops the other threads
+            for future in concurrent.futures.as_completed(futures):
+                future.result()
+        finally:
+            stop.set()
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -325,26 +326,54 @@ class TestExitCodes:
 
 
 class TestProgressLines:
+    TABLE1 = ["--h", "0.09", "--h", "0.01", "--n-exp", "4", "--n-exp", "5", "--samples", "4"]
+    # command -> (argv, cells, N sampled)
     CELLS = {
-        "table1": (["--h", "0.09", "--h", "0.01", "--n-exp", "4", "--n-exp", "5",
-                    "--samples", "4"], 4),
-        "table2": (["--n-exp", "4", "--n-exp", "5", "--samples", "10"], 2),
-        "table3": (["--n-exp", "4", "--samples", "10"], 1),
-        "table4": (["--h", "0.09", "--n-exp", "4", "--n-exp", "5"], 2),
-        "figures": (["--h", "0.09", "--n-exp", "4", "--samples", "4"], 1),
-        "bounds": (["--h", "0.09", "--h", "0.5", "--n-exp", "4"], 2),
-        "simulate": (["--h", "0.3", "--n-exp", "3", "--samples", "4"], 1),
-        "limit": (["--n-exp", "8", "--n-exp", "9"], 2),
+        "table1": (TABLE1, 4, 2),
+        "table2": (["--n-exp", "4", "--n-exp", "5", "--samples", "10"], 2, 0),
+        "table3": (["--n-exp", "4", "--samples", "10"], 1, 0),
+        "table4": (["--h", "0.09", "--n-exp", "4", "--n-exp", "5"], 2, 0),
+        "figures": (["--h", "0.09", "--n-exp", "4", "--samples", "4"], 1, 1),
+        "bounds": (["--h", "0.09", "--h", "0.5", "--n-exp", "4"], 2, 0),
+        "simulate": (["--h", "0.3", "--n-exp", "3", "--samples", "4"], 1, 1),
+        "limit": (["--n-exp", "8", "--n-exp", "9"], 2, 0),
     }
 
     @pytest.mark.parametrize("command", sorted(CELLS))
     def test_one_timed_line_per_cell(self, capsys, command):
-        argv, n_cells = self.CELLS[command]
+        # and one line per N for the fBm sample that every H of the N shares
+        argv, n_cells, n_sampled = self.CELLS[command]
         assert main([command] + argv) == 0
         lines = capsys.readouterr().err.splitlines()
-        pattern = re.compile(rf"\[{command}\] (H=\S+ )?N=2\^\d+ done in \d+\.\d{{3}} s")
-        assert len(lines) == n_cells
-        assert all(pattern.fullmatch(line) for line in lines), lines
+        done = re.compile(rf"\[{command}\] (H=\S+ )?N=2\^\d+ done in \d+\.\d{{3}} s")
+        sampled = re.compile(rf"\[{command}\] N=2\^\d+ sampled \d+ H in \d+\.\d{{3}} s")
+        assert sum(bool(done.fullmatch(line)) for line in lines) == n_cells, lines
+        assert sum(bool(sampled.fullmatch(line)) for line in lines) == n_sampled, lines
+        assert len(lines) == n_cells + n_sampled, lines
+
+    def test_sampling_time_has_its_own_line(self, capsys, monkeypatch):
+        # the shared sample is timed once per N, before that N's first cell line
+        argv = ["table1", "--method", "mc"] + self.TABLE1
+        code, unpatched = run_cli(capsys, argv)
+        assert code == 0
+
+        def slow(*args):
+            time.sleep(0.3)
+            return fbm_functional_samples(*args)
+
+        monkeypatch.setattr(fbmax.cli, "fbm_functional_samples", slow)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == unpatched
+        lines = captured.err.splitlines()
+        for exponent in (4, 5):
+            sampled = [i for i, line in enumerate(lines)
+                       if line.startswith(f"[table1] N=2^{exponent} sampled 2 H in ")]
+            assert len(sampled) == 1, lines
+            assert float(lines[sampled[0]].split()[-2]) >= 0.3
+            first_done = min(i for i, line in enumerate(lines)
+                             if f"N=2^{exponent} done in" in line)
+            assert sampled[0] < first_done, lines
 
 
 class TestShell:

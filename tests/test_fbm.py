@@ -31,8 +31,7 @@ def synthesise(spectrum, noise):
 def out_of_place_synthesis(spectrum, noise):
     """The synthesis as one expression, each step in a new array."""
     m = spectrum.size
-    weights = np.sqrt(spectrum.eigenvalues / m)
-    transformed = np.fft.fft(weights * (noise[:, :m] + 1j * noise[:, m:]), axis=1)
+    transformed = np.fft.fft(spectrum.weights * (noise[:, :m] + 1j * noise[:, m:]), axis=1)
     transformed = transformed[:, :spectrum.n_points]
     return np.stack([transformed.real, transformed.imag], axis=1)
 
@@ -41,6 +40,27 @@ def increment_covariance(lags, n_points, hurst):
     """Covariance of the grid increments at the given lags: the unit-spacing
     kernel scaled by N^(-2H), as build_embedding scales it."""
     return float(n_points) ** (-2.0 * hurst) * fgn_autocovariance(lags, hurst)
+
+
+def embedding_row(n_points, size, hurst):
+    """First row of the circulant embedding of the given size: the increment
+    covariance at lags 0..m/2, then wrapped around."""
+    half = size // 2
+    lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
+    return increment_covariance(lags, n_points, hurst)
+
+
+def with_tiny_negatives(row):
+    """The eigenvalues of the row, every third from the second just below zero,
+    inside the clip window."""
+    eig = circulant_eigenvalues(row)
+    eig[1::3] = -0.5 * fbm.EIGENVALUE_CLIP_RTOL * eig.max()
+    return eig
+
+
+def eigenvalues_of(spectrum):
+    """The clipped eigenvalues, recovered from the weights sqrt(lambda / m)."""
+    return spectrum.size * spectrum.weights ** 2
 
 
 class TestGridArguments:
@@ -134,40 +154,53 @@ class TestEmbedding:
 
     def test_brownian_spectrum_is_flat(self):
         spec = build_embedding(4, 0.5)
-        np.testing.assert_allclose(spec.eigenvalues, np.full(8, 0.25), rtol=1e-14)
+        np.testing.assert_allclose(eigenvalues_of(spec), np.full(8, 0.25), rtol=1e-14)
 
     @pytest.mark.parametrize("h", [0.0001, 0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n", [4, 16])
     def test_against_dense_eigensolver(self, h, n):
         spec = build_embedding(n, h)
         m = spec.size
-        half = m // 2
-        lags = np.concatenate([np.arange(half + 1), np.arange(half - 1, 0, -1)])
-        row = increment_covariance(lags, n, h)
+        row = embedding_row(n, m, h)
         dense = np.empty((m, m))
         for i in range(m):
             dense[i] = np.roll(row, i)
         np.testing.assert_allclose(
-            np.sort(spec.eigenvalues), np.sort(np.linalg.eigvalsh(dense)),
+            np.sort(eigenvalues_of(spec)), np.sort(np.linalg.eigvalsh(dense)),
             rtol=1e-9, atol=1e-12,
         )
 
     @pytest.mark.parametrize("h,n", [(0.0001, 256), (0.3, 100), (0.9, 64)])
     def test_trace_identity(self, h, n):
         spec = build_embedding(n, h)
-        assert spec.eigenvalues.sum() == pytest.approx(
+        assert eigenvalues_of(spec).sum() == pytest.approx(
             spec.size * increment_covariance([0], n, h)[0], rel=1e-11
         )
 
     def test_spectrum_is_read_only(self):
         spec = build_embedding(8, 0.3)
         with pytest.raises(ValueError):
-            spec.eigenvalues[0] = 0.0
+            spec.weights[0] = 0.0
 
     def test_spectrum_holds_only_its_eigenvalues(self):
-        # a view of the complex FFT would keep twice the bytes alive per H
-        eig = build_embedding(1000, 0.3).eigenvalues
-        assert eig.base is None and eig.flags.c_contiguous and eig.nbytes == 8 * 2048
+        # only the weights: a view of the complex FFT would keep twice the
+        # bytes alive per H
+        weights = build_embedding(1000, 0.3).weights
+        assert weights.base is None and weights.flags.c_contiguous
+        assert weights.nbytes == 8 * 2048
+
+    @pytest.mark.parametrize("eigenvalues", [circulant_eigenvalues, with_tiny_negatives],
+                             ids=["exact", "clipped"])
+    @pytest.mark.parametrize("n,h", [(1, 0.5), (5, 0.9), (1024, 0.0001)])
+    def test_weights_are_roots_of_the_clipped_eigenvalues(self, monkeypatch, n, h, eigenvalues):
+        # the eigenvalues rebuilt here from the row, clipped as documented,
+        # pin the weights that out_of_place_synthesis reads
+        monkeypatch.setattr(fbm, "circulant_eigenvalues", eigenvalues)
+        spec = build_embedding(n, h)
+        eig = eigenvalues(embedding_row(n, spec.size, h))
+        clipped = np.where(eig < 0.0, 0.0, eig)
+        want = np.sqrt(clipped / spec.size)
+        np.testing.assert_array_equal(spec.weights.view(np.uint64), want.view(np.uint64))
 
     def test_tiny_negative_eigenvalue_is_clipped(self, monkeypatch):
         real = circulant_eigenvalues
@@ -181,7 +214,7 @@ class TestEmbedding:
         spec = build_embedding(8, 0.3)
         assert spec.n_clipped == 1
         assert spec.min_raw_eigenvalue < 0.0
-        assert spec.eigenvalues.min() == 0.0
+        assert eigenvalues_of(spec).min() == 0.0
 
     def test_large_negative_eigenvalue_raises(self, monkeypatch):
         real = circulant_eigenvalues
@@ -245,13 +278,6 @@ class TestSampling:
 
     def test_in_place_synthesis_with_clipped_eigenvalues(self, monkeypatch):
         # a clipped eigenvalue weights its noise by a zero
-        real = circulant_eigenvalues
-
-        def with_tiny_negatives(row):
-            eig = real(row)
-            eig[1::3] = -0.5 * fbm.EIGENVALUE_CLIP_RTOL * eig.max()
-            return eig
-
         monkeypatch.setattr(fbm, "circulant_eigenvalues", with_tiny_negatives)
         spec = build_embedding(16, 0.3)
         assert spec.n_clipped == 11

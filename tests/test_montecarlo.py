@@ -25,6 +25,16 @@ from fbmax.montecarlo import (
 )
 
 
+def peak_traced_bytes(call):
+    """The peak of the memory that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReplicationRng:
     def test_deterministic_per_index(self):
         a = replication_rng(123, 4).standard_normal(8)
@@ -80,7 +90,7 @@ class TestSummarize:
             SampleSummary(count=2, mean=5.0, variance=1.0, ci95_low=0.0, ci95_high=1.0)
 
 
-class TestExperimentConfig:
+class TestArgumentChecks:
     """Argument checks of the fBm sampler."""
 
     def test_validation(self):
@@ -166,22 +176,25 @@ class TestFbmExperiment:
         # N = 2^14 embeds in m = 2^15 points, so a chunk holds 8 pairs and
         # 500 replications take 32 chunks on two threads. Each thread's
         # normals (8, 2m), their complex transform (8, m) and paths (16, N),
-        # the four spectra (m) and each thread's weights of the synthesis in
-        # progress (2m: lambda / m and its root) must be all the memory of
-        # size m, with no temporary per chunk or per H
+        # and the four spectra's weights (m) must be all the memory of size
+        # m, with no temporary per chunk, per H or per synthesis
         monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         n, m, hursts = 2 ** 14, 2 ** 15, [0.09, 0.01, 0.0013, 0.0001]
         pairs = fbmax.montecarlo.CHUNK_DRAW_BUDGET // (2 * m)
         buffers = pairs * 2 * m * 8 + pairs * m * 16 + 2 * pairs * n * 8
-        spectra = len(hursts) * m * 8
-        weights = 2 * 2 * m * 8
-        tracemalloc.start()
-        try:
-            fbm_functional_samples(n, hursts, 500, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * buffers + spectra + weights + 2 ** 20
+        peak = peak_traced_bytes(lambda: fbm_functional_samples(n, hursts, 500, 1))
+        assert peak <= 2 * buffers + len(hursts) * m * 8 + 2 ** 20
+
+    def test_peak_memory_of_one_pair_chunks(self, monkeypatch):
+        # N = 2^18 embeds in m = 2^19 points, more than CHUNK_DRAW_BUDGET
+        # draws per pair, so each of the two threads holds one pair: normals
+        # (2m), their complex transform (m) and two paths (N). With the four
+        # spectra's weights that is all; a synthesis that built its weights
+        # would add 2 x 8m per thread
+        monkeypatch.setattr(fbmax.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        n, m, hursts = 2 ** 18, 2 ** 19, [0.09, 0.01, 0.0013, 0.0001]
+        peak = peak_traced_bytes(lambda: fbm_functional_samples(n, hursts, 4, 1))
+        assert peak <= 2 * (16 * m + 16 * m + 16 * n) + len(hursts) * 8 * m + 2 ** 20
 
     def test_odd_sample_size(self):
         samples = fbm_functional_samples(8, [0.5], 5, 1)[0.5]
@@ -254,8 +267,7 @@ class TestFbmFunctionalSamples:
         monkeypatch.setattr(fbmax.montecarlo, "_synthesise_pairs", record)
         fbm_functional_samples(32, [0.3], sample_size, 7)
         assert 1 <= len(threads) <= most_threads
-        if most_threads == 1:
-            assert threads == {threading.get_ident()}
+        assert threading.get_ident() not in threads  # even one chunk runs on the pool
 
     def test_worker_error_reaches_the_caller_and_threads_end(self, monkeypatch):
         # 4000 replications take 1000 chunks of one synthesis each, 500 per
