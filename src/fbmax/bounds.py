@@ -20,8 +20,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .errors import QuadratureError, check_hurst, check_points
 
@@ -46,6 +45,10 @@ INTEGRAL_ABS_TOL = 1e-5
 #: Largest N of the limit law: its quadrature routes and its sampler multiply or
 #: divide by N as a double.
 LIMIT_MAX_POINTS = 2 ** 1023
+#: Gauss-Legendre rules on [-1, 1]; the 48-point one checks the 24-point one.
+_GAUSS_24, _GAUSS_48 = (np.polynomial.legendre.leggauss(k) for k in (24, 48))
+#: Panel edges in s = -ln u, graded towards the log singularity at s = 0.
+_S_EDGES = np.concatenate(([0.0], np.logspace(-30.0, 0.0, 31), np.arange(2.0, 46.0)))
 
 
 class BorovkovBounds(NamedTuple):
@@ -122,33 +125,41 @@ def limit_quantile(u: float | np.ndarray, n_points: int) -> float | np.ndarray:
     M_N = -ndtri(1 - u^(1/N)), with 1 - u^(1/N) formed by expm1 to keep its
     digits at large N. Accepts a float or an array. At u = 0 the log divides
     by zero and the result clips to 0; a caller that passes u = 0 silences
-    that warning itself, since quad calls this about 700 times per
-    integral and a context manager here would nearly double its time.
+    that warning itself, as ``iid_limit_samples`` does.
     """
     return np.maximum(-ndtri(-np.expm1(np.log(u) / n_points)), 0.0) / math.sqrt(2.0)
 
 
-def limit_integral_quantile_form(n_points: int) -> float:
-    """N int_{1/2}^1 erf^(-1)(2z - 1) z^(N-1) dz via the substitution t = z^N.
+def _quantile_integrand(s: np.ndarray, log_n: float) -> np.ndarray:
+    """``limit_quantile(exp(-s), N)`` from ln N. Below x = s/N = 1e-8, ln(1 - u^(1/N))
+    = ln(-expm1(-x)) is formed as ln s - ln N + log1p(-x/2), which never underflows."""
+    x = s * math.exp(-log_n)
+    log_p = np.where(x < 1e-8, np.log(s) - log_n + np.log1p(-0.5 * np.minimum(x, 1e-8)),
+                     np.log(-np.expm1(-np.maximum(x, 1e-8))))
+    return np.maximum(-ndtri_exp(log_p), 0.0) / math.sqrt(2.0)
 
-    The substitution turns the near-1 concentration of z^(N-1) into the flat
-    integrand ``limit_quantile(t, N)`` on (2^-N, 1), below which it is 0, and
-    adaptive Gauss-Kronrod quadrature handles it at any N.
+
+def _gauss_legendre(rule: tuple, edges: np.ndarray, log_n: float) -> float:
+    half = 0.5 * np.diff(edges)
+    s = edges[:-1, None] + half[:, None] * (rule[0] + 1.0)
+    return float(half @ ((_quantile_integrand(s, log_n) * np.exp(-s)) @ rule[1]))
+
+
+def limit_integral_quantile_form(n_points: int) -> float:
+    """N int_{1/2}^1 erf^(-1)(2z - 1) z^(N-1) dz via t = z^N and s = -ln t.
+
+    It becomes int_0^S q(s) e^(-s) ds with q(s) = ``limit_quantile(exp(-s), N)``
+    and S = min(N ln 2, 45): q is 0 past N ln 2, and past 45 the integrand is
+    below 1e-18. The 24-point Gauss-Legendre rule on the panels of ``_S_EDGES``
+    below S gives it; the 48-point rule on the same panels must agree to 1e-7.
     """
     n_points = check_points(n_points, maximum=LIMIT_MAX_POINTS)
-    lower = 2.0 ** (-n_points) if n_points < 1074 else 0.0
-    result = quad(limit_quantile, lower, 1.0, args=(n_points,), epsabs=1e-10,
-                  epsrel=1e-10, limit=300, full_output=1)
-    if len(result) > 3:
-        raise QuadratureError(
-            f"quantile-form quadrature failed for N={n_points}: {result[-1]}"
-        )
-    value, abserr = result[0], result[1]
-    if abserr > 1e-7:
-        raise QuadratureError(
-            f"quantile-form quadrature too coarse for N={n_points}: "
-            f"estimated error {abserr:.2e}"
-        )
+    log_n, s_max = math.log(n_points), min(n_points * math.log(2.0), 45.0)
+    edges = np.append(_S_EDGES[_S_EDGES < s_max], s_max)
+    value, check = (_gauss_legendre(rule, edges, log_n) for rule in (_GAUSS_24, _GAUSS_48))
+    if abs(check - value) > 1e-7:
+        raise QuadratureError(f"quantile-form rules disagree for N={n_points}: "
+                              f"24-point {value!r} vs 48-point {check!r}")
     return value
 
 
@@ -166,7 +177,7 @@ def limit_integral_tail_form(n_points: int) -> float:
         / math.sqrt(2.0 * math.pi) / (1.0 + x_max * x_max)
     ) > 1e-13 and x_max < 60.0:
         x_max += 0.5
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes, weights = _GAUSS_24
     edges = np.linspace(0.0, x_max, max(8, int(2 * x_max)) + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

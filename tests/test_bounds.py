@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fbmax.bounds import (
+    _quantile_integrand,
     borovkov_bounds,
     bounds_report,
     delta_upper_bound,
     limit_integral,
     limit_integral_quantile_form,
     limit_integral_tail_form,
+    limit_quantile,
     relative_error_lower,
     sudakov_lower_bound,
     sudakov_maximizer,
@@ -32,6 +34,15 @@ def limit_rate_bound(n_points, hurst):
 def delta_lower_bound(n_points, hurst):
     """The discretization-error lower bound as the CLI reports it."""
     return bounds_report(n_points, hurst)["delta_lower"]
+
+
+def limit_oracle(n_points):
+    """(1/sqrt 2) int_0^inf (1 - Phi(x)^N) dx at 30 digits; the fixed breakpoints
+    bracket the integrand's drop near sqrt(2 ln N) up to N = 2^31."""
+    with mp.workdps(30):
+        tail = mp.quad(lambda x: -mp.expm1(n_points * mp.log(mp.ncdf(x))),
+                       [0, 1, 2, 3, 4, 5, 6, 8, 12, mp.inf])
+        return float(tail / mp.sqrt(2))
 
 
 class TestBorovkov:
@@ -196,8 +207,9 @@ class TestLimitIntegral:
                                        limit_integral_tail_form])
     @pytest.mark.parametrize("n", [2 ** 1023 + 1, 2 ** 1024, 2 ** 1100])
     def test_grid_above_double_range_rejected(self, route, n, monkeypatch):
-        # refused with the bound named, before any quadrature runs
-        monkeypatch.setattr("fbmax.bounds.quad", None)
+        # refused with the bound named, before either route's kernel runs
+        monkeypatch.setattr("fbmax.bounds.ndtri_exp", None)
+        monkeypatch.setattr("fbmax.bounds.log_ndtr", None)
         with pytest.raises(ValueError, match=r"<= 2\^1023"):
             route(n)
 
@@ -216,15 +228,30 @@ class TestLimitIntegral:
         finally:
             mod.limit_integral.cache_clear()
 
+    def test_quadrature_rule_gap_reported(self, monkeypatch):
+        # a 48-point rule off by one part in 10^6 puts the rules 3e-6 apart
+        import fbmax.bounds as mod
+
+        nodes, weights = mod._GAUSS_48
+        monkeypatch.setattr(mod, "_GAUSS_48", (nodes, weights * (1.0 + 1e-6)))
+        with pytest.raises(QuadratureError, match="rules disagree"):
+            limit_integral_quantile_form(2 ** 8)
+
     @pytest.mark.parametrize("n", [1, 2, 2 ** 8, 2 ** 10, 2 ** 20])
     def test_matches_30_digit_oracle(self, n):
-        # (1/sqrt 2) int_0^inf (1 - Phi(x)^N) dx; the fixed breakpoints bracket
-        # the integrand's drop near sqrt(2 ln N) up to N = 2^31
-        with mp.workdps(30):
-            tail = mp.quad(lambda x: -mp.expm1(n * mp.log(mp.ncdf(x))),
-                           [0, 1, 2, 3, 4, 5, 6, 8, 12, mp.inf])
-            oracle = float(tail / mp.sqrt(2))
-        assert limit_integral(n) == pytest.approx(oracle, abs=1e-12)
+        assert limit_integral(n) == pytest.approx(limit_oracle(n), abs=1e-12)
+
+    @pytest.mark.parametrize("j", range(32))
+    def test_quantile_route_matches_30_digit_oracle(self, j):
+        assert limit_integral_quantile_form(2 ** j) == pytest.approx(
+            limit_oracle(2 ** j), abs=1e-14)
+
+    @pytest.mark.parametrize("j", [0, 8, 31, 100])
+    def test_quadrature_integrates_the_sampler_quantile(self, j):
+        # the rule integrates the law that iid_limit_samples draws from
+        s = np.array([1e-3, 0.1, 1.0, 10.0, 40.0])
+        expected = limit_quantile(np.exp(-s), 2 ** j)
+        assert _quantile_integrand(s, math.log(2 ** j)) == pytest.approx(expected, rel=1e-10)
 
     def test_extreme_grid(self):
         assert limit_integral(2 ** 31) == pytest.approx(4.390, abs=2e-3)

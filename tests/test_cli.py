@@ -406,6 +406,14 @@ class TestShell:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_integrate_out(self):
+        # scipy.integrate would add about 0.3 s and 26 MB to every CLI start
+        code = "import sys, fbmax.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=self.env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_table3_default_grid_finishes(self):
         # N = 2^20..2^25 at 1000 replications each, well inside the timeout
         proc = subprocess.run([sys.executable, "-m", "fbmax.cli", "table3"], env=self.env(),

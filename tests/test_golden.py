@@ -16,7 +16,11 @@ erfc: the full-precision ``limit``, ``limit_integral``, ``delta_lower`` and
 whole correlation vector and began to form the one correlation each step
 reads from running sums and an online convolution: the full-precision
 ``clark`` column moved by at most 1.3e-15 relative, and every other byte is
-kept.
+kept. ``limit.csv``, ``bounds.csv`` and ``table2.csv`` were regenerated again
+when the quantile-form quadrature changed from scipy's adaptive ``quad`` to a
+fixed composite Gauss-Legendre rule in s = -ln u: the full-precision
+``limit``, ``limit_integral``, ``delta_lower`` and ``integral`` columns moved
+by at most 1.2e-13, towards the 30-digit oracle, and every other byte is kept.
 
 Regenerate one file with, for example::
 

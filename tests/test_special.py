@@ -14,7 +14,7 @@ QUANTILE_EXPONENTS = [0, 8, 31, 100, 615]
 class TestLimitQuantile:
     @pytest.mark.parametrize("j", QUANTILE_EXPONENTS)
     def test_float_matches_array(self, j):
-        # quad evaluates at floats and the sampler at arrays: same bits
+        # a scalar caller and the sampler's arrays get the same bits
         n = 2 ** j
         for u in [1e-300, 1e-5, 0.3, 0.5, 0.75, 0.999999]:
             assert float(limit_quantile(u, n)).hex() == float(
